@@ -28,7 +28,7 @@ print("B = C^dd:", transform(C, "dd").base == B.base)
 
 # The full block: all eight equations vanish identically in (u1,u2,u3).
 block = {"A": A, "B": B, "C": C, "D": catalog.instantiate("Dspec")}
-report = systems.residual_spectral(block)
+report = systems.residual("SPECTRAL_REFLECTION", block)
 print("full block all-zero:", report.all_zero)
 print()
 print("the reconstructed D:")

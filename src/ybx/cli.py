@@ -20,8 +20,7 @@ import random
 import sys
 
 from . import catalog, solver, systems
-from .errors import (ConstraintViolated, DivisionByZero, ExprSyntaxError,
-                     NotInvertible, SymbolicInput, UnknownName, YbxError)
+from .errors import NotInvertible, YbxError
 from .scalar import scalar_str
 from .tensor import matrix_from_text, matrix_to_text, random_matrix
 from . import exprparse
@@ -77,6 +76,8 @@ class _MatrixSpec:
                     raise UsageError("unknown random parameter %r" % key)
             if self.dim is None or self.seed is None:
                 raise UsageError("random spec needs dim and seed: %r" % text)
+            if self.dim < 1:
+                raise UsageError("random dim must be at least 1: %r" % text)
         else:
             raise UsageError("unrecognised matrix spec %r" % text)
 
@@ -156,6 +157,8 @@ def render_verify_text(data) -> str:
 
 
 def cmd_verify(args, extra):
+    if args.samples < 1:
+        raise UsageError("--samples must be at least 1, got %d" % args.samples)
     sysdef = systems.system(args.system)
     roles = _take_role_args(extra, sysdef.roles)
     for role in sysdef.roles:
@@ -353,13 +356,12 @@ def main(argv=None) -> int:
         if args.command == "catalog":
             return cmd_catalog(args, extra)
         raise UsageError("unknown command %r" % args.command)
-    except (UsageError, UnknownName, ConstraintViolated, SymbolicInput,
-            ExprSyntaxError, DivisionByZero, ValueError, OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except NotInvertible as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except (YbxError, ValueError, OSError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -266,7 +266,8 @@ class GaussianRational(Scalar):
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # equal to ints and Fractions, so it must hash like them
+        return hash(self.re) if not self.im else hash((self.re, self.im))
 
     def as_poly(self):
         if self.is_zero():

@@ -12,38 +12,13 @@ from math import isqrt
 from . import exprparse
 from .errors import (InputNotQbgSolution, NotInvertible, SymbolicInput, YbxError)
 from .scalar import (ZERO, ONE, GaussianRational, Polynomial, as_scalar,
-                     invert, is_zero, scalar_str, var_id)
-from .tensor import SquareMatrix, conjugate, embed, transform, ybc_const
+                     is_zero, scalar_str)
+from .tensor import SquareMatrix, conjugate, embed, rref, transform, ybc_const
 from .systems import SYSTEMS, verify
 
 
 # ---------------------------------------------------------------------------
 # exact linear algebra over the scalar field
-
-def rref(rows, ncols):
-    """In-place reduced row echelon form; returns the pivot column list.
-    Entries may be any scalars from the tower (exact field arithmetic)."""
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for rr in range(r, len(rows)):
-            if not rows[rr][c].is_zero():
-                piv = rr
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pinv = invert(rows[r][c])
-        rows[r] = [x * pinv for x in rows[r]]
-        for rr in range(len(rows)):
-            if rr != r and not rows[rr][c].is_zero():
-                f = rows[rr][c]
-                rows[rr] = [x - f * y for x, y in zip(rows[rr], rows[r])]
-        pivots.append(c)
-        r += 1
-    return pivots
-
 
 def nullspace(rows, ncols):
     """Echelon-normalized nullspace basis of the column space relation
@@ -80,20 +55,14 @@ class SolutionSpace:
                  for j in range(self.member_dim)] for m in self.basis]
 
     def contains(self, M: SquareMatrix) -> bool:
-        """Exact membership test by extending the basis and re-ranking."""
+        """Exact membership test: M is in the span when adding it to the
+        basis leaves the rank unchanged."""
         if M.dim != self.member_dim:
             return False
         vecs = self.vectors()
         target = [M.rows[i][j] for i in range(M.dim) for j in range(M.dim)]
-        work = [v[:] for v in vecs]
-        pivots = rref(work, len(target))
-        # reduce the target against the echelon basis
-        t = target[:]
-        for ri, pc in enumerate(pivots):
-            f = t[pc]
-            if not f.is_zero():
-                t = [x - f * y for x, y in zip(t, work[ri])]
-        return all(x.is_zero() for x in t)
+        rank = len(rref(vecs, len(target)))
+        return len(rref(vecs + [target], len(target))) == rank
 
     def combination(self, coefficients):
         acc = SquareMatrix.zeros(self.member_dim)
@@ -118,14 +87,25 @@ def solve_z_linear(X: SquareMatrix) -> SolutionSpace:
         raise SymbolicInput("matrix dim %d is not a perfect square" % n2)
     M1 = embed(X, (1, 2), N) * embed(X, (1, 3), N)
     M2 = embed(X, (1, 3), N) * embed(X, (1, 2), N)
-    size = N ** 3
-    cols = []
-    for k in range(n2):
-        for l in range(n2):
-            E = embed(SquareMatrix.unit(n2, k, l), (2, 3), N)
-            C = M1 * E - E * M2
-            cols.append([C.rows[i][j] for i in range(size) for j in range(size)])
-    rows = [[cols[u][e] for u in range(n2 * n2)] for e in range(size * size)]
+    # Row (r, c) of the system is entry (r, c) of M1 Z23 - Z23 M2.  With
+    # r = (a, x) and c = (b, y) split at leg 1, that entry is
+    # sum_k M1[r][b, k] Z[k, y] - sum_l Z[x, l] M2[a, l][c].
+    rows = []
+    for r in range(N ** 3):
+        a, x = divmod(r, n2)
+        m1row = M1.rows[r]
+        for c in range(N ** 3):
+            b, y = divmod(c, n2)
+            row = [ZERO] * (n2 * n2)
+            for k in range(n2):
+                v = m1row[b * n2 + k]
+                if not v.is_zero():
+                    row[k * n2 + y] = v
+            for l in range(n2):
+                v = M2.rows[a * n2 + l][c]
+                if not v.is_zero():
+                    row[x * n2 + l] = row[x * n2 + l] - v
+            rows.append(row)
     vecs, rank = nullspace(rows, n2 * n2)
     basis = []
     for v in vecs:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import product
+from math import isqrt
 
 from .errors import (DimensionMismatch, MissingRole, NotInvertible,
                      UnknownName, UnsupportedTransform)
@@ -198,7 +199,7 @@ def _split_index(flat, N):
     return [flat // (N * N), (flat // N) % N, flat % N]
 
 
-def _collect(label, residual: SquareMatrix, N, cap, family_index=None):
+def _collect(residual: SquareMatrix, N, cap, family_index=None):
     nonzero = 0
     witnesses = []
     for i, row in enumerate(residual.rows):
@@ -245,26 +246,20 @@ def residual(sysdef, assignment, witness_cap=WITNESS_CAP,
             cache[key] = _apply_tag(assignment[role], tag, role)
         return cache[key]
 
-    from math import isqrt
     for eq in sysdef.equations:
         (ra, ta), (rb, tb), (rc, tc) = eq.triple
-        if eq.kind == "const":
+        if eq.kind in ("const", "colour"):
+            ybc = ybc_const if eq.kind == "const" else ybc_colour
             A = tagged(ra, ta)
-            N = isqrt(A.dim)
-            res = ybc_const(A, tagged(rb, tb), tagged(rc, tc))
-            count, wit = _collect(eq.label, res, N, witness_cap)
-        elif eq.kind == "colour":
-            A = tagged(ra, ta)
-            N = isqrt(A.dim)
-            res = ybc_colour(A, tagged(rb, tb), tagged(rc, tc))
-            count, wit = _collect(eq.label, res, N, witness_cap)
+            res = ybc(A, tagged(rb, tb), tagged(rc, tc))
+            count, wit = _collect(res, isqrt(A.dim), witness_cap)
         elif eq.kind == "family":
             A, B, C = tagged(ra, ta), tagged(rb, tb), tagged(rc, tc)
             N = isqrt(A.dim)
             count, wit = 0, []
             for J1, J2, J3 in product(range(A.N), repeat=3):
                 res = ybc_colour(A.member(J1, J2), B.member(J1, J3), C.member(J2, J3))
-                c, w = _collect(eq.label, res, N, witness_cap - len(wit),
+                c, w = _collect(res, N, witness_cap - len(wit),
                                 family_index=(J1, J2, J3))
                 count += c
                 wit.extend(w)
@@ -281,11 +276,6 @@ def verify(sysdef, assignment, witness_cap=WITNESS_CAP, provenance=None):
     """(all residuals exactly zero?, full report)."""
     rep = residual(sysdef, assignment, witness_cap, provenance=provenance)
     return rep.all_zero, rep
-
-
-def residual_spectral(assignment, witness_cap=WITNESS_CAP) -> ResidualReport:
-    """Residuals of the colour-dependent reflection system over (u1,u2,u3)."""
-    return residual(SYSTEMS["SPECTRAL_REFLECTION"], assignment, witness_cap)
 
 
 def investigate_d_candidates() -> dict:

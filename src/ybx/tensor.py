@@ -13,7 +13,7 @@ from . import exprparse
 from .errors import (DimensionMismatch, NotInvertible,
                      UnsupportedTransform, ZeroScale)
 from .scalar import (ZERO, ONE, GaussianRational, Polynomial,
-                     as_scalar, is_zero, scalar_str, var_id, var_name)
+                     as_scalar, invert, is_zero, scalar_str, var_id, var_name)
 
 
 class SquareMatrix:
@@ -135,20 +135,24 @@ class SquareMatrix:
         return _det_eliminate([row[:] for row in self.rows])
 
     def inverse(self):
-        """Exact inverse; adjugate/determinant for n <= 4, elimination
-        beyond.  Raises NotInvertible when the determinant is zero."""
+        """Exact inverse; adjugate/determinant for n <= 4, elimination of
+        [M | I] beyond.  Raises NotInvertible when the determinant is zero."""
         n = self.dim
+        if n > 4:
+            aug = [row + [ONE if i == j else ZERO for j in range(n)]
+                   for i, row in enumerate(self.rows)]
+            if len(rref(aug, n)) < n:
+                raise NotInvertible("determinant is zero")
+            return SquareMatrix([row[n:] for row in aug])
         d = self.det()
         if is_zero(d):
             raise NotInvertible("determinant is zero")
         if n == 1:
             return SquareMatrix([[1 / d]])
-        if n <= 4:
-            dinv = 1 / d
-            rows = [[_cofactor(self.rows, j, i) * dinv for j in range(n)]
-                    for i in range(n)]
-            return SquareMatrix(rows)
-        return _invert_eliminate(self)
+        dinv = 1 / d
+        rows = [[_cofactor(self.rows, j, i) * dinv for j in range(n)]
+                for i in range(n)]
+        return SquareMatrix(rows)
 
     def __str__(self):
         return matrix_to_text(self)
@@ -209,29 +213,29 @@ def _det_eliminate(rows):
     return det
 
 
-def _invert_eliminate(mat):
-    n = mat.dim
-    aug = [row[:] + [ONE if i == j else ZERO for j in range(n)]
-           for i, row in enumerate(mat.rows)]
-    for col in range(n):
+def rref(rows, ncols):
+    """In-place reduced row echelon form; returns the pivot column list.
+    Entries may be any scalars from the tower (exact field arithmetic)."""
+    pivots = []
+    r = 0
+    for c in range(ncols):
         piv = None
-        for r in range(col, n):
-            if not aug[r][col].is_zero():
-                piv = r
+        for rr in range(r, len(rows)):
+            if not rows[rr][c].is_zero():
+                piv = rr
                 break
         if piv is None:
-            raise NotInvertible("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pinv = 1 / aug[col][col]
-        aug[col] = [x * pinv for x in aug[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            f = aug[r][col]
-            if f.is_zero():
-                continue
-            aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return SquareMatrix([row[n:] for row in aug])
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pinv = invert(rows[r][c])
+        rows[r] = [x * pinv for x in rows[r]]
+        for rr in range(len(rows)):
+            if rr != r and not rows[rr][c].is_zero():
+                f = rows[rr][c]
+                rows[rr] = [x - f * y for x, y in zip(rows[rr], rows[r])]
+        pivots.append(c)
+        r += 1
+    return pivots
 
 
 # ---------------------------------------------------------------------------
@@ -377,19 +381,10 @@ class ColourMatrix:
 def ybc_colour(R: ColourMatrix, S: ColourMatrix, T: ColourMatrix,
                colour_names=("u1", "u2", "u3")) -> SquareMatrix:
     """Colour-dependent Yang-Baxter commutator: substitutes the colour
-    pairs (u1,u2), (u1,u3), (u2,u3) into R, S, T and forms
-    R12 S13 T23 - T23 S13 R12 exactly."""
-    if not (R.dim == S.dim == T.dim):
-        raise DimensionMismatch("commutator needs equal dims")
+    pairs (u1,u2), (u1,u3), (u2,u3) into R, S, T, then takes the constant
+    commutator of the results."""
     n1, n2, n3 = colour_names
-    A = R.at_vars(n1, n2)
-    B = S.at_vars(n1, n3)
-    C = T.at_vars(n2, n3)
-    N = _local_dim(A)
-    A12 = embed(A, (1, 2), N)
-    B13 = embed(B, (1, 3), N)
-    C23 = embed(C, (2, 3), N)
-    return A12 * B13 * C23 - C23 * B13 * A12
+    return ybc_const(R.at_vars(n1, n2), S.at_vars(n1, n3), T.at_vars(n2, n3))
 
 
 # ---------------------------------------------------------------------------

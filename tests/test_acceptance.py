@@ -386,7 +386,7 @@ def test_criterion_7_spectral_block():
                             {"A": A, "B": A, "C": A, "D": A}).equations[0].zero
     block = {"A": catalog.instantiate("Aspec"), "B": catalog.instantiate("Bspec"),
              "C": catalog.instantiate("Cspec"), "D": catalog.instantiate("Dspec")}
-    rep = systems.residual_spectral(block)
+    rep = systems.residual("SPECTRAL_REFLECTION", block)
     assert rep.all_zero, rep.to_text()
 
     outcome = systems.investigate_d_candidates()

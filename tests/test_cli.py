@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from ybx import cli
 from ybx.tensor import matrix_from_text
 
@@ -62,6 +64,23 @@ def test_verify_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "verify", "ybe", "--Q", "catalog:P")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "qdouble", "--W", "catalog:W", "--X", "catalog:X1",
+     "--Z", "catalog:Z10", "--samples", "0"],
+    ["verify", "ybe", "--R", "random[dim=0,seed=1]"],
+    ["verify", "ybe", "--R", "random[dim=3,seed=1]"],
+    ["verify", "qdouble", "--W", "catalog:P", "--X", "random[dim=9,seed=1]",
+     "--Z", "catalog:P"],
+    ["orbit", "--W", "catalog:P", "--X", "catalog:I", "--Z", "catalog:P",
+     "--T", "random[dim=3,seed=1]", "--check"],
+], ids=["samples-0", "dim-0", "dim-3", "mixed-dims", "3x3-T"])
+def test_specification_errors_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_verify_json_round_trips_to_text(capsys):

@@ -19,6 +19,20 @@ def q():
 
 
 # ---------------------------------------------------------------------------
+# hashing agrees with equality
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(), st.fractions()))
+def test_real_gaussian_hashes_like_its_value(x):
+    assert GaussianRational(x) == x
+    assert hash(GaussianRational(x)) == hash(x)
+
+
+def test_equal_scalars_collapse_in_a_set():
+    assert len({GaussianRational(1), 1, Fraction(1)}) == 1
+
+
+# ---------------------------------------------------------------------------
 # ring laws
 
 @settings(max_examples=200, deadline=None)

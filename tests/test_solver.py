@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import bareiss_rank
+from oracles import bareiss_rank, ybc_loops
 from ybx import catalog, solver, systems
 from ybx.errors import InputNotQbgSolution, NotInvertible, SymbolicInput
 from ybx.scalar import GaussianRational, substitute
@@ -59,6 +59,18 @@ def test_nullspace_of_flip_is_its_own_span():
     assert space.dim == 1 and space.rank == 15
     assert bareiss_rank(_to_gauss(_system_rows(P))) == 15
     assert space.contains(P)
+
+
+def test_nullspace_of_dim9_flip_checked_by_loops():
+    X = flip_matrix(3)
+    space = solver.solve_z_linear(X)
+    assert space.rank + space.dim == 81
+    for member in space.basis:
+        assert ybc_loops(X, X, member, N=3).is_zero()
+    assert space.contains(X)
+    R = random_matrix(9, 1)
+    assert not ybc_loops(X, X, R, N=3).is_zero()
+    assert not space.contains(R)
 
 
 def test_completeness_on_random_numeric_inputs():

@@ -8,8 +8,8 @@ from ybx.errors import (DimensionMismatch, MissingRole, NotInvertible,
                         UnknownName)
 from ybx.exprparse import parse_scalar as ps
 from ybx.scalar import GaussianRational
-from ybx.systems import (MatrixFamily, render_report_text, residual,
-                         residual_spectral, system, verify)
+from ybx.systems import (MatrixFamily, render_report_text, residual, system,
+                         verify)
 from ybx.tensor import (ColourMatrix, SquareMatrix, flip_matrix,
                         random_matrix, transform, ybc_const)
 
@@ -149,7 +149,7 @@ def test_spectral_yang_solution():
 
 
 def test_spectral_block_all_zero():
-    rep = residual_spectral(_spectral_block())
+    rep = residual("SPECTRAL_REFLECTION", _spectral_block())
     assert rep.all_zero, [e.label for e in rep.equations if not e.zero]
 
 

@@ -177,6 +177,10 @@ def test_not_invertible():
     singular = SquareMatrix([[1, 0], [0, 0]])
     with pytest.raises(NotInvertible):
         transform(singular, "-")
+    rows = [row[:] for row in random_matrix(9, 123).rows]
+    rows[4] = [0] * 9
+    with pytest.raises(NotInvertible, match="determinant is zero"):
+        transform(SquareMatrix(rows), "-")
 
 
 def test_conjugate_properties():
@@ -207,13 +211,14 @@ def test_partial_transpose():
 
 
 def test_inverse_beyond_adjugate_size():
-    A = random_matrix(5, 123)
-    try:
-        Ai = A.inverse()
-    except NotInvertible:
-        A = random_matrix(5, 124)
-        Ai = A.inverse()
-    assert A * Ai == SquareMatrix.identity(5)
+    for n in (5, 9):
+        A = random_matrix(n, 123)
+        try:
+            Ai = A.inverse()
+        except NotInvertible:
+            A = random_matrix(n, 124)
+            Ai = A.inverse()
+        assert A * Ai == SquareMatrix.identity(n)
 
 
 # ---------------------------------------------------------------------------
