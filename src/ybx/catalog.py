@@ -366,7 +366,7 @@ def witness(name: str):
     return get(name).witness_assignment()
 
 
-def sample_assignment(name: str, rng: random.Random, pins=None, attempts=200):
+def sample_assignment(name: str, rng: random.Random, pins=None):
     """A random admissible parameter point (small nonzero rationals).
 
     ``pins`` maps parameters to fixed values or expression strings; pinned
@@ -376,7 +376,7 @@ def sample_assignment(name: str, rng: random.Random, pins=None, attempts=200):
     entry = get(name)
     pins = pins or {}
     rules = dict(entry.sampling)
-    for _ in range(attempts):
+    for _ in range(200):
         assignment = {}
         for p in entry.params:
             if p in pins:

@@ -113,21 +113,25 @@ class _MatrixSpec:
 
 
 def _take_role_args(tokens, valid_roles):
-    """Extract --ROLE SPEC pairs from leftover argv tokens."""
+    """Extract --NAME VALUE and --NAME=VALUE pairs (raw strings) from leftover
+    argv tokens; argparse would take a value such as -1/3 for an option."""
     roles = {}
     k = 0
     while k < len(tokens):
         tok = tokens[k]
         if not tok.startswith("--"):
             raise UsageError("unexpected argument %r" % tok)
-        role = tok[2:]
+        role, eq, value = tok[2:].partition("=")
         if role not in valid_roles:
             raise UsageError("unknown role %r (expected one of %s)"
                              % (role, ", ".join(valid_roles)))
-        if k + 1 >= len(tokens):
-            raise UsageError("missing matrix spec after --%s" % role)
-        roles[role] = _MatrixSpec(tokens[k + 1])
-        k += 2
+        if not eq:
+            if k + 1 >= len(tokens):
+                raise UsageError("missing value after --%s" % role)
+            k += 1
+            value = tokens[k]
+        roles[role] = value
+        k += 1
     return roles
 
 
@@ -160,7 +164,8 @@ def cmd_verify(args, extra):
     if args.samples < 1:
         raise UsageError("--samples must be at least 1, got %d" % args.samples)
     sysdef = systems.system(args.system)
-    roles = _take_role_args(extra, sysdef.roles)
+    roles = {role: _MatrixSpec(text)
+             for role, text in _take_role_args(extra, sysdef.roles).items()}
     for role in sysdef.roles:
         if role not in roles:
             raise UsageError("role --%s not supplied" % role)
@@ -230,7 +235,9 @@ def cmd_solve_z(args, extra):
 # orbit
 
 def cmd_orbit(args, extra):
-    roles = _take_role_args(extra, ("W", "X", "Z", "T", "S"))
+    values = _take_role_args(extra, ("W", "X", "Z", "T", "S", "omega", "xi", "zeta"))
+    roles = {role: _MatrixSpec(text) for role, text in values.items()
+             if role in ("W", "X", "Z", "T", "S")}
     for role in ("W", "X", "Z"):
         if role not in roles:
             raise UsageError("role --%s not supplied" % role)
@@ -243,11 +250,12 @@ def cmd_orbit(args, extra):
         t_mat, _ = roles["T"].resolve(rng=None, symbolic=True)
     if "S" in roles:
         s_mat, _ = roles["S"].resolve(rng=None, symbolic=True)
-    def scale(text):
+    def scale(name):
+        text = values.get(name)
         return exprparse.parse_scalar(text) if text else None
     spec = solver.TransformSpec(
-        t_mat=t_mat, s_mat=s_mat, omega=scale(args.omega), xi=scale(args.xi),
-        zeta=scale(args.zeta), word=solver.parse_word(args.word or ""))
+        t_mat=t_mat, s_mat=s_mat, omega=scale("omega"), xi=scale("xi"),
+        zeta=scale("zeta"), word=solver.parse_word(args.word or ""))
     W, X, Z = solver.apply_transform(tuple(triple), spec)
     for label, mat in (("W", W), ("X", X), ("Z", Z)):
         print("%s:" % label)
@@ -327,9 +335,6 @@ def _build_parser():
 
     p = sub.add_parser("orbit", help="apply a symmetry transformation")
     p.add_argument("--word", default="")
-    p.add_argument("--omega", default=None)
-    p.add_argument("--xi", default=None)
-    p.add_argument("--zeta", default=None)
     p.add_argument("--check", action="store_true")
 
     p = sub.add_parser("catalog", help="browse or export the catalog")

@@ -66,6 +66,11 @@ class MissingRole(YbxError):
     """A system role was not supplied in the assignment."""
 
 
+class RoleKindMismatch(YbxError):
+    """A role was given a value of the wrong kind for the equations that
+    use it (constant matrix, colour matrix or matrix family)."""
+
+
 class SymbolicInput(YbxError):
     """Operation requires fully numeric entries; substitute parameters first."""
 

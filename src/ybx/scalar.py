@@ -62,90 +62,42 @@ def var_name(vid: int) -> str:
 
 # ---------------------------------------------------------------------------
 # monomials
+#
+# A Laurent monomial is a tuple of (variable id, nonzero exponent) pairs
+# sorted by id; () is the unit monomial.
 
-class Monomial:
-    """A Laurent monomial: map variable-id -> nonzero integer exponent,
-    stored as a tuple of (vid, exp) pairs sorted by vid."""
-
-    __slots__ = ("exps",)
-
-    def __init__(self, exps=()):
-        self.exps = tuple(exps)
-
-    @staticmethod
-    def unit():
-        return _UNIT_MONOMIAL
-
-    @staticmethod
-    def of(vid, exp=1):
-        if exp == 0:
-            return _UNIT_MONOMIAL
-        return Monomial(((vid, exp),))
-
-    def is_unit(self):
-        return not self.exps
-
-    def mul(self, other):
-        if not self.exps:
-            return other
-        if not other.exps:
-            return self
-        merged = []
-        a, b = self.exps, other.exps
-        i = j = 0
-        while i < len(a) and j < len(b):
-            va, ea = a[i]
-            vb, eb = b[j]
-            if va < vb:
-                merged.append((va, ea))
-                i += 1
-            elif vb < va:
-                merged.append((vb, eb))
-                j += 1
-            else:
-                e = ea + eb
-                if e:
-                    merged.append((va, e))
-                i += 1
-                j += 1
-        merged.extend(a[i:])
-        merged.extend(b[j:])
-        return Monomial(merged)
-
-    def pow(self, n):
-        if n == 0 or not self.exps:
-            return _UNIT_MONOMIAL
-        return Monomial(tuple((v, e * n) for v, e in self.exps))
-
-    def inverse(self):
-        return self.pow(-1)
-
-    def variables(self):
-        return {v for v, _ in self.exps}
-
-    def _cmp(self, other):
-        # lexicographic on exponent vectors in registration order
-        da, db = dict(self.exps), dict(other.exps)
-        for v in sorted(set(da) | set(db)):
-            ea, eb = da.get(v, 0), db.get(v, 0)
-            if ea != eb:
-                return 1 if ea > eb else -1
-        return 0
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exps == other.exps
-
-    def __hash__(self):
-        return hash(self.exps)
-
-    def __repr__(self):
-        return "Monomial(%r)" % (self.exps,)
+Monomial = tuple
 
 
-_UNIT_MONOMIAL = Monomial()
+def _mono_mul(a, b):
+    if not a:
+        return b
+    if not b:
+        return a
+    merged = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        va, ea = a[i]
+        vb, eb = b[j]
+        if va < vb:
+            merged.append((va, ea))
+            i += 1
+        elif vb < va:
+            merged.append((vb, eb))
+            j += 1
+        else:
+            e = ea + eb
+            if e:
+                merged.append((va, e))
+            i += 1
+            j += 1
+    merged.extend(a[i:])
+    merged.extend(b[j:])
+    return tuple(merged)
+
+
+def _mono_inv(m):
+    return tuple((v, -e) for v, e in m)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +224,7 @@ class GaussianRational(Scalar):
     def as_poly(self):
         if self.is_zero():
             return Polynomial({})
-        return Polynomial({_UNIT_MONOMIAL: self})
+        return Polynomial({(): self})
 
     def variables(self):
         return set()
@@ -283,7 +235,6 @@ class GaussianRational(Scalar):
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
-IUNIT = GaussianRational(0, 1)
 
 
 class Polynomial(Scalar):
@@ -296,28 +247,24 @@ class Polynomial(Scalar):
         self.terms = terms
 
     @staticmethod
-    def const(c):
-        return as_gaussian(c).as_poly()
-
-    @staticmethod
     def variable(name, exp=1):
-        return Polynomial({Monomial.of(var_id(name), exp): ONE})
+        return Polynomial.from_vid(var_id(name), exp)
 
     @staticmethod
     def from_vid(vid, exp=1):
-        return Polynomial({Monomial.of(vid, exp): ONE})
+        return Polynomial({((vid, exp),) if exp else (): ONE})
 
     def is_zero(self):
         return not self.terms
 
     def is_constant(self):
-        return not self.terms or (len(self.terms) == 1 and _UNIT_MONOMIAL in self.terms)
+        return not self.terms or (len(self.terms) == 1 and () in self.terms)
 
     def constant_value(self):
         """The GaussianRational value of a constant polynomial."""
         if not self.terms:
             return ZERO
-        return self.terms[_UNIT_MONOMIAL]
+        return self.terms[()]
 
     def _add(self, o):
         big, small = (self.terms, o.terms) if len(self.terms) >= len(o.terms) else (o.terms, self.terms)
@@ -341,7 +288,7 @@ class Polynomial(Scalar):
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in o.terms.items():
-                m = m1.mul(m2)
+                m = _mono_mul(m1, m2)
                 c = c1._mul(c2)
                 cur = out.get(m)
                 if cur is None:
@@ -368,7 +315,7 @@ class Polynomial(Scalar):
         if len(o.terms) == 1:
             # exact Laurent division by a single term
             (m, c), = o.terms.items()
-            inv = Polynomial({m.inverse(): c.inv()})
+            inv = Polynomial({_mono_inv(m): c.inv()})
             return self._mul(inv)
         return RationalFunction(self, o)
 
@@ -377,23 +324,20 @@ class Polynomial(Scalar):
             raise DivisionByZero("inversion of zero polynomial")
         if len(self.terms) == 1:
             (m, c), = self.terms.items()
-            return Polynomial({m.inverse(): c.inv()})
-        return RationalFunction(Polynomial({_UNIT_MONOMIAL: ONE}), self)
+            return Polynomial({_mono_inv(m): c.inv()})
+        return RationalFunction(_ONE_POLY, self)
 
     def _eq(self, o):
         return self.terms == o.terms
 
     def variables(self):
-        out = set()
-        for m in self.terms:
-            out |= m.variables()
-        return out
+        return {v for m in self.terms for v, _ in m}
 
     def substitute(self, mapping):
         out = ZERO
         for m, coeff in self.terms.items():
             factor = coeff
-            for vid, exp in m.exps:
+            for vid, exp in m:
                 val = mapping.get(vid)
                 if val is None:
                     factor = factor * Polynomial.from_vid(vid, exp)
@@ -408,7 +352,7 @@ class Polynomial(Scalar):
     __hash__ = None
 
 
-_ONE_POLY = Polynomial({_UNIT_MONOMIAL: ONE})
+_ONE_POLY = Polynomial({(): ONE})
 
 
 class RationalFunction(Scalar):
@@ -622,14 +566,14 @@ def gaussian_str(g: GaussianRational) -> str:
 
 def _monomial_str(m: Monomial) -> str:
     parts = []
-    for vid, exp in m.exps:
+    for vid, exp in m:
         name = var_name(vid)
         parts.append(name if exp == 1 else "%s^%d" % (name, exp))
     return "*".join(parts)
 
 
 def _term_str(m: Monomial, c: GaussianRational) -> str:
-    if m.is_unit():
+    if not m:
         return gaussian_str(c)
     ms = _monomial_str(m)
     if c.is_one():
@@ -642,7 +586,14 @@ def _term_str(m: Monomial, c: GaussianRational) -> str:
 def poly_str(p: Polynomial) -> str:
     if not p.terms:
         return "0"
-    monos = sorted(p.terms, reverse=True)
+    vids = sorted(p.variables())
+
+    def exponent_vector(m):
+        # variables in registration order, so the global order is stable
+        exps = dict(m)
+        return [exps.get(v, 0) for v in vids]
+
+    monos = sorted(p.terms, key=exponent_vector, reverse=True)
     out = _term_str(monos[0], p.terms[monos[0]])
     for m in monos[1:]:
         t = _term_str(m, p.terms[m])
@@ -658,9 +609,9 @@ def _is_atomic_factor(p: Polynomial) -> bool:
     if len(p.terms) != 1:
         return False
     (m, c), = p.terms.items()
-    if m.is_unit():
+    if not m:
         return not c.im and c.re.denominator == 1 and c.re > 0
-    return c.is_one() and len(m.exps) == 1
+    return c.is_one() and len(m) == 1
 
 
 def rf_str(r: RationalFunction) -> str:

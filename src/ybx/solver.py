@@ -13,7 +13,8 @@ from . import exprparse
 from .errors import (InputNotQbgSolution, NotInvertible, SymbolicInput, YbxError)
 from .scalar import (ZERO, ONE, GaussianRational, Polynomial, as_scalar,
                      is_zero, scalar_str)
-from .tensor import SquareMatrix, conjugate, embed, rref, transform, ybc_const
+from .tensor import (SquareMatrix, _local_dim, conjugate, embed, rref, transform,
+                     ybc_const)
 from .systems import SYSTEMS, verify
 
 
@@ -64,17 +65,12 @@ class SolutionSpace:
         rank = len(rref(vecs, len(target)))
         return len(rref(vecs + [target], len(target))) == rank
 
-    def combination(self, coefficients):
-        acc = SquareMatrix.zeros(self.member_dim)
-        for c, m in zip(coefficients, self.basis):
-            acc = acc + m.scale(c)
-        return acc
-
 
 def solve_z_linear(X: SquareMatrix) -> SolutionSpace:
     """Full nullspace of Z -> X12 X13 Z23 - Z23 X13 X12 (exact).
 
     X must be numeric; substitute symbolic parameters first (SymbolicInput
+    otherwise).  Its dim must be a perfect square (DimensionMismatch
     otherwise).  The basis is echelon-normalized with deterministic pivot
     order, and rank + dim = (dim of X)^2 by construction.
     """
@@ -82,9 +78,7 @@ def solve_z_linear(X: SquareMatrix) -> SolutionSpace:
         raise SymbolicInput(
             "solve_z_linear needs numeric entries; substitute parameters first")
     n2 = X.dim
-    N = isqrt(n2)
-    if N * N != n2:
-        raise SymbolicInput("matrix dim %d is not a perfect square" % n2)
+    N = _local_dim(X)
     M1 = embed(X, (1, 2), N) * embed(X, (1, 3), N)
     M2 = embed(X, (1, 3), N) * embed(X, (1, 2), N)
     # Row (r, c) of the system is entry (r, c) of M1 Z23 - Z23 M2.  With
@@ -139,11 +133,11 @@ class PolySystem:
         return "\n".join(lines) + "\n"
 
 
-def filter_ybe(space: SolutionSpace, prefix="c") -> PolySystem:
+def filter_ybe(space: SolutionSpace) -> PolySystem:
     """Write Z = sum c_i basis_i with fresh unknowns and emit the entries
     of the cubic commutator [Z,Z,Z] as polynomials in the c_i.  Does not
     solve the system."""
-    names = ["%s%d" % (prefix, i + 1) for i in range(space.dim)]
+    names = ["c%d" % (i + 1) for i in range(space.dim)]
     Z = SquareMatrix.zeros(space.member_dim)
     for name, m in zip(names, space.basis):
         Z = Z + m.scale(Polynomial.variable(name))
@@ -282,10 +276,10 @@ def apply_transform(triple, spec: TransformSpec):
     return triple
 
 
-def random_sl2(rng: random.Random, shears=3) -> SquareMatrix:
-    """Random integer SL(2) matrix as a product of elementary shears."""
+def random_sl2(rng: random.Random) -> SquareMatrix:
+    """Random integer SL(2) matrix as a product of three elementary shears."""
     M = SquareMatrix.identity(2)
-    for k in range(shears):
+    for _ in range(3):
         a = rng.randint(-3, 3)
         if rng.random() < 0.5:
             E = SquareMatrix([[1, a], [0, 1]])
@@ -295,16 +289,16 @@ def random_sl2(rng: random.Random, shears=3) -> SquareMatrix:
     return M
 
 
-def random_transform_spec(rng: random.Random, max_word=4) -> TransformSpec:
+def random_transform_spec(rng: random.Random) -> TransformSpec:
     """Random symmetry element: SL(2) pair, nonzero rational scales, and a
-    discrete word of length <= max_word."""
+    discrete word of length <= 4."""
     from fractions import Fraction
     def scale():
         num = rng.choice([n for n in range(-4, 5) if n])
         den = rng.choice([1, 1, 2, 3])
         return GaussianRational(Fraction(num, den))
     word = []
-    for _ in range(rng.randint(0, max_word)):
+    for _ in range(rng.randint(0, 4)):
         kind = rng.choice(DISCRETE_STEPS)
         if kind == "t":
             word.append(("t",))

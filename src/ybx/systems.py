@@ -14,7 +14,7 @@ from itertools import product
 from math import isqrt
 
 from .errors import (DimensionMismatch, MissingRole, NotInvertible,
-                     UnknownName, UnsupportedTransform)
+                     RoleKindMismatch, UnknownName, UnsupportedTransform)
 from .scalar import scalar_str
 from .tensor import ColourMatrix, SquareMatrix, transform, ybc_colour, ybc_const
 
@@ -129,6 +129,9 @@ class MatrixFamily:
                               for K in range(self.N)] for J in range(self.N)])
 
 
+_KIND_TYPES = {"const": SquareMatrix, "colour": ColourMatrix, "family": MatrixFamily}
+
+
 def _apply_tag(value, tag, role):
     if tag == "id":
         return value
@@ -231,9 +234,21 @@ def residual(sysdef, assignment, witness_cap=WITNESS_CAP,
     for role in sysdef.roles:
         if role not in assignment:
             raise MissingRole("role %r not assigned" % role)
-    dims = {m.dim for m in assignment.values()}
-    if len(dims) != 1:
-        raise DimensionMismatch("assigned matrices have mixed dimensions %s" % dims)
+    for eq in sysdef.equations:
+        cls = _KIND_TYPES.get(eq.kind)
+        if cls is None:
+            raise UnknownName("unknown equation kind %r" % eq.kind)
+        for role, _ in eq.triple:
+            if not isinstance(assignment[role], cls):
+                raise RoleKindMismatch(
+                    "role %s is used in %s equations and needs a %s, got a %s"
+                    % (role, eq.kind, cls.__name__, type(assignment[role]).__name__))
+    first = sysdef.roles[0]
+    for role in sysdef.roles[1:]:
+        if assignment[role].dim != assignment[first].dim:
+            raise DimensionMismatch("role %s has dim %d, but role %s has dim %d"
+                                    % (role, assignment[role].dim,
+                                       first, assignment[first].dim))
     report = ResidualReport(sysdef.name,
                             {r: (provenance or {}).get(r) or
                                 describe_matrix(assignment[r])
@@ -248,12 +263,7 @@ def residual(sysdef, assignment, witness_cap=WITNESS_CAP,
 
     for eq in sysdef.equations:
         (ra, ta), (rb, tb), (rc, tc) = eq.triple
-        if eq.kind in ("const", "colour"):
-            ybc = ybc_const if eq.kind == "const" else ybc_colour
-            A = tagged(ra, ta)
-            res = ybc(A, tagged(rb, tb), tagged(rc, tc))
-            count, wit = _collect(res, isqrt(A.dim), witness_cap)
-        elif eq.kind == "family":
+        if eq.kind == "family":
             A, B, C = tagged(ra, ta), tagged(rb, tb), tagged(rc, tc)
             N = isqrt(A.dim)
             count, wit = 0, []
@@ -264,7 +274,10 @@ def residual(sysdef, assignment, witness_cap=WITNESS_CAP,
                 count += c
                 wit.extend(w)
         else:
-            raise UnknownName("unknown equation kind %r" % eq.kind)
+            ybc = ybc_const if eq.kind == "const" else ybc_colour
+            A = tagged(ra, ta)
+            res = ybc(A, tagged(rb, tb), tagged(rc, tc))
+            count, wit = _collect(res, isqrt(A.dim), witness_cap)
         eqres = EquationResidual(eq.label, count == 0, count, wit)
         report.equations.append(eqres)
         if count:

@@ -45,9 +45,6 @@ class SquareMatrix:
         rows[i][j] = ONE
         return SquareMatrix(rows)
 
-    def entry(self, i, j):
-        return self.rows[i][j]
-
     def __add__(self, other):
         self._same_dim(other)
         return SquareMatrix([[a + b for a, b in zip(ra, rb)]
@@ -378,20 +375,16 @@ class ColourMatrix:
             self.base.dim, var_name(u), var_name(v))
 
 
-def ybc_colour(R: ColourMatrix, S: ColourMatrix, T: ColourMatrix,
-               colour_names=("u1", "u2", "u3")) -> SquareMatrix:
+def ybc_colour(R: ColourMatrix, S: ColourMatrix, T: ColourMatrix) -> SquareMatrix:
     """Colour-dependent Yang-Baxter commutator: substitutes the colour
     pairs (u1,u2), (u1,u3), (u2,u3) into R, S, T, then takes the constant
     commutator of the results."""
-    n1, n2, n3 = colour_names
-    return ybc_const(R.at_vars(n1, n2), S.at_vars(n1, n3), T.at_vars(n2, n3))
+    return ybc_const(R.at_vars("u1", "u2"), S.at_vars("u1", "u3"),
+                     T.at_vars("u2", "u3"))
 
 
 # ---------------------------------------------------------------------------
 # transforms
-
-TRANSFORM_TAGS = ("id", "t", "+", "-", "#", "dd")
-
 
 def transform(M, op: str):
     """Apply a discrete transform tag.
@@ -441,6 +434,8 @@ def conjugate(M: SquareMatrix, left: SquareMatrix, right: SquareMatrix,
 
 def partial_transpose(M: SquareMatrix, leg: int) -> SquareMatrix:
     """Transpose on one tensor factor of an N^2-dim matrix (leg 1 or 2)."""
+    if leg not in (1, 2):
+        raise DimensionMismatch("leg must be 1 or 2")
     N = _local_dim(M)
     out = [[ZERO] * M.dim for _ in range(M.dim)]
     for i1 in range(N):
@@ -452,10 +447,8 @@ def partial_transpose(M: SquareMatrix, leg: int) -> SquareMatrix:
                         continue
                     if leg == 1:
                         out[j1 * N + i2][i1 * N + j2] = x
-                    elif leg == 2:
-                        out[i1 * N + j2][j1 * N + i2] = x
                     else:
-                        raise DimensionMismatch("leg must be 1 or 2")
+                        out[i1 * N + j2][j1 * N + i2] = x
     return SquareMatrix(out)
 
 
@@ -475,21 +468,20 @@ def _splitmix64(state: int):
     return state, z
 
 
-def random_matrix(dim: int, seed: int, span: int = 3) -> SquareMatrix:
-    """Seeded matrix with integer entries in [-span, span].
+def random_matrix(dim: int, seed: int) -> SquareMatrix:
+    """Seeded matrix with integer entries in [-3, 3].
 
     Entries are produced row-major from the splitmix64 stream seeded with
-    ``seed``; each 64-bit output is reduced mod (2*span+1) and shifted.
+    ``seed``; each 64-bit output is reduced mod 7 and shifted by -3.
     Identical across platforms and runs.
     """
     state = seed & _M64
-    width = 2 * span + 1
     rows = []
     for _ in range(dim):
         row = []
         for _ in range(dim):
             state, z = _splitmix64(state)
-            row.append(GaussianRational(z % width - span))
+            row.append(GaussianRational(z % 7 - 3))
         rows.append(row)
     return SquareMatrix(rows)
 

@@ -75,7 +75,12 @@ def test_verify_usage_errors(capsys):
      "--Z", "catalog:P"],
     ["orbit", "--W", "catalog:P", "--X", "catalog:I", "--Z", "catalog:P",
      "--T", "random[dim=3,seed=1]", "--check"],
-], ids=["samples-0", "dim-0", "dim-3", "mixed-dims", "3x3-T"])
+    ["verify", "spectral_reflection", "--A", "catalog:P", "--B", "catalog:P",
+     "--C", "catalog:P", "--D", "catalog:P"],
+    ["verify", "braided_family", "--W", "catalog:P", "--X", "catalog:P",
+     "--Y", "catalog:P", "--Z", "catalog:P"],
+], ids=["samples-0", "dim-0", "dim-3", "mixed-dims", "3x3-T",
+        "const-in-colour", "const-in-family"])
 def test_specification_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -136,6 +141,16 @@ def test_orbit_empty_word_echoes(capsys):
                        "--Z", "catalog:P")
     assert code == 0
     assert out.count("dim 4") == 3
+
+
+def test_orbit_negative_scales(capsys):
+    base = ("orbit", "--W", "catalog:P", "--X", "catalog:I", "--Z", "catalog:P")
+    code, out, _ = run(capsys, *base, "--xi", "-1/3", "--check")
+    assert code == 0
+    assert "check: PASS" in out and "-1/3, 0, 0, 0" in out
+    code, out, _ = run(capsys, *base, "--omega=-1/2", "--check")
+    assert code == 0
+    assert "check: PASS" in out
 
 
 def test_orbit_singular_middle_is_math_failure(capsys, tmp_path):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ybx.catalog  # noqa: F401  (registers variables first: fixes the term order)
 from oracles import random_gaussian, random_poly, random_nonzero_poly
 from ybx.errors import DenominatorVanishes, DivisionByZero
 from ybx.exprparse import parse_scalar
@@ -166,6 +167,16 @@ def test_print_parse_fixpoint(text):
     again = parse_scalar(out)
     assert again == val
     assert scalar_str(again) == out
+
+
+@pytest.mark.parametrize("text,printed", [
+    ("1 + s^-1 + q*s + q^2 - q^-1*s^2 + a*q", "q^2 + q*s + q*a + 1 + s^-1 - q^-1*s^2"),
+    ("(q - s)^3*q^-1", "q^2 - 3*q*s + 3*s^2 - q^-1*s^3"),
+    ("u1^2*u2^-1 - u2*u3 + u1 - 1 + u3^-2", "u1^2*u2^-1 + u1 - u2*u3 - 1 + u3^-2"),
+    ("(u - v + 1)*(v/u - u/v)", "-u^2*v^-1 + u - u*v^-1 + v - u^-1*v^2 + u^-1*v"),
+])
+def test_canonical_term_order(text, printed):
+    assert scalar_str(parse_scalar(text)) == printed
 
 
 def test_print_parse_random_polys():

@@ -4,7 +4,8 @@ import pytest
 
 from oracles import bareiss_rank, ybc_loops
 from ybx import catalog, solver, systems
-from ybx.errors import InputNotQbgSolution, NotInvertible, SymbolicInput
+from ybx.errors import (DimensionMismatch, InputNotQbgSolution, NotInvertible,
+                        SymbolicInput)
 from ybx.scalar import GaussianRational, substitute
 from ybx.tensor import SquareMatrix, embed, flip_matrix, random_matrix, ybc_const
 
@@ -86,6 +87,11 @@ def test_completeness_on_random_numeric_inputs():
 def test_symbolic_input_rejected():
     with pytest.raises(SymbolicInput):
         solver.solve_z_linear(catalog.instantiate("X3"))
+
+
+def test_non_square_dim_rejected():
+    with pytest.raises(DimensionMismatch):
+        solver.solve_z_linear(random_matrix(3, 1))
 
 
 def test_membership_of_catalog_partners():

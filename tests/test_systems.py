@@ -5,7 +5,7 @@ import pytest
 
 from ybx import catalog, systems
 from ybx.errors import (DimensionMismatch, MissingRole, NotInvertible,
-                        UnknownName)
+                        RoleKindMismatch, UnknownName)
 from ybx.exprparse import parse_scalar as ps
 from ybx.scalar import GaussianRational
 from ybx.systems import (MatrixFamily, render_report_text, residual, system,
@@ -231,8 +231,12 @@ def test_family_swap_conjugate_transposes_indices():
 def test_missing_role_and_dimension_checks():
     with pytest.raises(MissingRole):
         residual("QDOUBLE", {"W": P, "X": P})
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="role X"):
         residual("QDOUBLE", {"W": P, "X": SquareMatrix.identity(9), "Z": P})
+    with pytest.raises(RoleKindMismatch) as err:
+        residual("SPECTRAL_REFLECTION", {"A": P, "B": P, "C": P, "D": P})
+    assert "role A" in str(err.value) and "ColourMatrix" in str(err.value)
+    assert "SquareMatrix" in str(err.value)
 
 
 def test_not_invertible_names_role_and_transform():

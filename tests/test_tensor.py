@@ -208,6 +208,8 @@ def test_partial_transpose():
                     assert pt1.rows[j1 * 2 + i2][i1 * 2 + j2] == A.rows[i1 * 2 + i2][j1 * 2 + j2]
     assert partial_transpose(partial_transpose(A, 1), 1) == A
     assert partial_transpose(partial_transpose(A, 1), 2) == A.transpose()
+    with pytest.raises(DimensionMismatch):
+        partial_transpose(SquareMatrix.zeros(4), 3)
 
 
 def test_inverse_beyond_adjugate_size():
