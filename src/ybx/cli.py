@@ -20,9 +20,9 @@ import random
 import sys
 
 from . import catalog, solver, systems
-from .errors import NotInvertible, YbxError
+from .errors import NotInvertible, RoleKindMismatch, YbxError
 from .scalar import scalar_str
-from .tensor import matrix_from_text, matrix_to_text, random_matrix
+from .tensor import SquareMatrix, matrix_from_text, matrix_to_text, random_matrix
 from . import exprparse
 
 DEFAULT_SEED = 20211997
@@ -135,6 +135,14 @@ def _take_role_args(tokens, valid_roles):
     return roles
 
 
+def _constant_matrix(role, spec):
+    """(matrix, provenance) of a role that needs a constant matrix."""
+    matrix, desc = spec.resolve(rng=None, symbolic=True)
+    if not isinstance(matrix, SquareMatrix):
+        raise RoleKindMismatch("--%s needs a constant matrix, got a colour matrix" % role)
+    return matrix, desc
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -150,10 +158,7 @@ def render_verify_text(data) -> str:
                 if not eq["zero"]:
                     lines.append("  equation %s: NONZERO (%d entries)"
                                  % (eq["label"], eq["nonzero_count"]))
-                    for w in eq["witnesses"][:4]:
-                        lines.append("    (%s|%s) = %s"
-                                     % (",".join(map(str, w["row"])),
-                                        ",".join(map(str, w["col"])), w["value"]))
+                    lines.extend(systems.witness_lines(eq["witnesses"][:4]))
     lines.append("overall: %s (%d sample%s)"
                  % ("PASS" if data["verified"] else "FAIL",
                     len(data["samples"]), "" if len(data["samples"]) == 1 else "s"))
@@ -214,8 +219,7 @@ def render_solve_text(data) -> str:
 def cmd_solve_z(args, extra):
     if extra:
         raise UsageError("unexpected arguments: %s" % " ".join(extra))
-    spec = _MatrixSpec(args.X)
-    matrix, desc = spec.resolve(rng=None, symbolic=True)
+    matrix, desc = _constant_matrix("X", _MatrixSpec(args.X))
     space = solver.solve_z_linear(matrix)   # SymbolicInput -> exit 2
     data = {"command": "solve-z", "X": desc, "dimension": space.dim,
             "rank": space.rank,
@@ -241,22 +245,15 @@ def cmd_orbit(args, extra):
     for role in ("W", "X", "Z"):
         if role not in roles:
             raise UsageError("role --%s not supplied" % role)
-    triple = []
-    for role in ("W", "X", "Z"):
-        matrix, _ = roles[role].resolve(rng=None, symbolic=True)
-        triple.append(matrix)
-    t_mat = s_mat = None
-    if "T" in roles:
-        t_mat, _ = roles["T"].resolve(rng=None, symbolic=True)
-    if "S" in roles:
-        s_mat, _ = roles["S"].resolve(rng=None, symbolic=True)
+    mats = {role: _constant_matrix(role, roles[role])[0]
+            for role in ("W", "X", "Z", "T", "S") if role in roles}
     def scale(name):
         text = values.get(name)
         return exprparse.parse_scalar(text) if text else None
     spec = solver.TransformSpec(
-        t_mat=t_mat, s_mat=s_mat, omega=scale("omega"), xi=scale("xi"),
+        t_mat=mats.get("T"), s_mat=mats.get("S"), omega=scale("omega"), xi=scale("xi"),
         zeta=scale("zeta"), word=solver.parse_word(args.word or ""))
-    W, X, Z = solver.apply_transform(tuple(triple), spec)
+    W, X, Z = solver.apply_transform((mats["W"], mats["X"], mats["Z"]), spec)
     for label, mat in (("W", W), ("X", X), ("Z", Z)):
         print("%s:" % label)
         sys.stdout.write(matrix_to_text(mat))

@@ -7,10 +7,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import isqrt
 
 from . import exprparse
-from .errors import (InputNotQbgSolution, NotInvertible, SymbolicInput, YbxError)
+from .errors import (DimensionMismatch, InputNotQbgSolution, NotInvertible,
+                     SymbolicInput, YbxError)
 from .scalar import (ZERO, ONE, GaussianRational, Polynomial, as_scalar,
                      is_zero, scalar_str)
 from .tensor import (SquareMatrix, _local_dim, conjugate, embed, rref, transform,
@@ -25,7 +25,7 @@ def nullspace(rows, ncols):
     """Echelon-normalized nullspace basis of the column space relation
     rows * x = 0; returns (basis vectors, rank)."""
     work = [row[:] for row in rows]
-    pivots = rref(work, ncols)
+    pivots, _ = rref(work, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
@@ -62,8 +62,8 @@ class SolutionSpace:
             return False
         vecs = self.vectors()
         target = [M.rows[i][j] for i in range(M.dim) for j in range(M.dim)]
-        rank = len(rref(vecs, len(target)))
-        return len(rref(vecs + [target], len(target))) == rank
+        rank = len(rref(vecs, len(target))[0])
+        return len(rref(vecs + [target], len(target))[0]) == rank
 
 
 def solve_z_linear(X: SquareMatrix) -> SolutionSpace:
@@ -186,25 +186,6 @@ class TransformSpec:
     zeta: object = None
     word: tuple = ()
 
-    def describe(self):
-        parts = []
-        if self.t_mat is not None or self.s_mat is not None or self.omega is not None:
-            parts.append("continuous")
-        parts.extend(word_to_text(self.word).split(",") if self.word else [])
-        return ",".join(p for p in parts if p) or "identity"
-
-
-def word_to_text(word):
-    out = []
-    for step in word:
-        if step[0] == "t":
-            out.append("t")
-        elif step[0] == "dsym1":
-            out.append("dsym1:%s%s" % tuple("#" if x == "#" else "i" for x in step[1:]))
-        else:
-            out.append("%s:%s%s" % step)
-    return ",".join(out)
-
 
 def parse_word(text: str):
     """Parse a word like "dsym3:++,t,dsym1:i#" into step tuples."""
@@ -258,7 +239,11 @@ def apply_transform(triple, spec: TransformSpec):
     W, X, Z = triple
     if spec.t_mat is not None or spec.s_mat is not None or any(
             v is not None for v in (spec.omega, spec.xi, spec.zeta)):
-        N = isqrt(W.dim)
+        N = _local_dim(W)
+        for role, mat in (("T", spec.t_mat), ("S", spec.s_mat)):
+            if mat is not None and mat.dim != N:
+                raise DimensionMismatch("role %s has dim %d, but the triple needs dim %d"
+                                        % (role, mat.dim, N))
         T = spec.t_mat if spec.t_mat is not None else SquareMatrix.identity(N)
         S = spec.s_mat if spec.s_mat is not None else SquareMatrix.identity(N)
         omega = as_scalar(spec.omega) if spec.omega is not None else ONE

@@ -188,14 +188,20 @@ def render_report_text(data: dict) -> str:
         else:
             lines.append("equation %s: NONZERO (%d entries)"
                          % (eq["label"], eq["nonzero_count"]))
-            for w in eq["witnesses"]:
-                where = "(%s|%s)" % (",".join(map(str, w["row"])),
-                                     ",".join(map(str, w["col"])))
-                if "family" in w:
-                    where += " J=(%s)" % ",".join(map(str, w["family"]))
-                lines.append("    %s = %s" % (where, w["value"]))
+            lines.extend(witness_lines(eq["witnesses"]))
     lines.append("result: %s" % ("PASS" if data["all_zero"] else "FAIL"))
     return "\n".join(lines) + "\n"
+
+
+def witness_lines(witnesses) -> list:
+    """One indented ``(row|col)[ J=(family)] = value`` line per witness dict."""
+    lines = []
+    for w in witnesses:
+        where = "(%s|%s)" % (",".join(map(str, w["row"])), ",".join(map(str, w["col"])))
+        if "family" in w:
+            where += " J=(%s)" % ",".join(map(str, w["family"]))
+        lines.append("    %s = %s" % (where, w["value"]))
+    return lines
 
 
 def _split_index(flat, N):
@@ -289,63 +295,6 @@ def verify(sysdef, assignment, witness_cap=WITNESS_CAP, provenance=None):
     """(all residuals exactly zero?, full report)."""
     rep = residual(sysdef, assignment, witness_cap, provenance=provenance)
     return rep.all_zero, rep
-
-
-def investigate_d_candidates() -> dict:
-    """Residual study of the garbled D display of the colour-dependent
-    reflection block.
-
-    The sourced display of D lost the operator between its two corner
-    factors.  Both plausible insertions (a sum of the two rank-one terms,
-    and their product) are evaluated here against all four D-equations of
-    the block; neither closes the system.  The admissible form is pinned
-    down exactly: the B-equations force D to commute with
-    u*(1 (x) raise) + v*(raise (x) 1), which fixes the off-diagonal ratio
-    and adds middle-diagonal corrections, and the cubic equation then
-    selects the colour-weighted flip (cataloged as Dspec).  The returned
-    dict records per-candidate equation flags and the resolution.
-    """
-    from . import catalog as _catalog
-    from . import exprparse as _exprparse
-
-    def cm(rows):
-        return ColourMatrix(SquareMatrix(
-            [[_exprparse.parse_scalar(str(c)) for c in row] for row in rows]))
-
-    A = _catalog.instantiate("Aspec")
-    B = _catalog.instantiate("Bspec")
-    C = _catalog.instantiate("Cspec")
-    candidates = {
-        "sum-insertion": cm([["u - v", 0, 0, 0], [0, "u - v", "1 - v/u", 0],
-                             [0, "1 - u/v", "u - v", 0], [0, 0, 0, "u - v"]]),
-        "product-insertion": cm([["u - v", 0, 0, 0], [0, "u - v", 0, 0],
-                                 [0, 0, "u - v + (1 - u/v)*(1 - v/u)", 0],
-                                 [0, 0, 0, "u - v"]]),
-    }
-    out = {"candidates": [], "resolution": None}
-
-    def d_flags(D):
-        rep = residual(SYSTEMS["SPECTRAL_REFLECTION"],
-                       {"A": A, "B": B, "C": C, "D": D})
-        return {e.label: e.zero for e in rep.equations}
-
-    for name, D in candidates.items():
-        flags = d_flags(D)
-        out["candidates"].append({
-            "name": name,
-            "entries": [[scalar_str(x) for x in row] for row in D.base.rows],
-            "equation_flags": flags,
-            "all_zero": all(flags.values()),
-        })
-    D = _catalog.instantiate("Dspec")
-    flags = d_flags(D)
-    out["resolution"] = {
-        "name": "colour-weighted flip (catalog entry Dspec)",
-        "entries": [[scalar_str(x) for x in row] for row in D.base.rows],
-        "equation_flags": flags,
-        "all_zero": all(flags.values()),
-    }
-    return out
 
 
 def describe_matrix(m) -> str:

@@ -125,11 +125,12 @@ class SquareMatrix:
                    for row in self.rows for a in row)
 
     def det(self):
-        """Exact determinant (cofactor expansion for n <= 4, elimination
-        over the fraction field beyond)."""
+        """Exact determinant (cofactor expansion for n <= 4, the pivot
+        product of an elimination beyond)."""
         if self.dim <= 4:
             return _det_cofactor(self.rows)
-        return _det_eliminate([row[:] for row in self.rows])
+        pivots, det = rref([row[:] for row in self.rows], self.dim)
+        return det if len(pivots) == self.dim else ZERO
 
     def inverse(self):
         """Exact inverse; adjugate/determinant for n <= 4, elimination of
@@ -138,7 +139,7 @@ class SquareMatrix:
         if n > 4:
             aug = [row + [ONE if i == j else ZERO for j in range(n)]
                    for i, row in enumerate(self.rows)]
-            if len(rref(aug, n)) < n:
+            if len(rref(aug, n)[0]) < n:
                 raise NotInvertible("determinant is zero")
             return SquareMatrix([row[n:] for row in aug])
         d = self.det()
@@ -183,37 +184,13 @@ def _cofactor(rows, i, j):
     return d if (i + j) % 2 == 0 else -d
 
 
-def _det_eliminate(rows):
-    n = len(rows)
-    det = ONE
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not rows[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            return ZERO
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        p = rows[col][col]
-        det = det * p
-        pinv = 1 / p
-        for r in range(col + 1, n):
-            f = rows[r][col]
-            if f.is_zero():
-                continue
-            f = f * pinv
-            for c in range(col, n):
-                rows[r][c] = rows[r][c] - f * rows[col][c]
-    return det
-
-
 def rref(rows, ncols):
-    """In-place reduced row echelon form; returns the pivot column list.
-    Entries may be any scalars from the tower (exact field arithmetic)."""
+    """In-place reduced row echelon form; returns (pivot column list,
+    product of the pivots taken, negated once per row swap).  For a square
+    input of full rank that product is the determinant.  Entries may be
+    any scalars from the tower (exact field arithmetic)."""
     pivots = []
+    det = ONE
     r = 0
     for c in range(ncols):
         piv = None
@@ -223,7 +200,10 @@ def rref(rows, ncols):
                 break
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            det = -det
+        det = det * rows[r][c]
         pinv = invert(rows[r][c])
         rows[r] = [x * pinv for x in rows[r]]
         for rr in range(len(rows)):
@@ -232,7 +212,7 @@ def rref(rows, ncols):
                 rows[rr] = [x - f * y for x, y in zip(rows[rr], rows[r])]
         pivots.append(c)
         r += 1
-    return pivots
+    return pivots, det
 
 
 # ---------------------------------------------------------------------------

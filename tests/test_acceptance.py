@@ -18,8 +18,8 @@ from oracles import bareiss_rank, ybc_loops
 from test_exprparse import MALFORMED
 from ybx import catalog, solver, systems
 from ybx.errors import ExprSyntaxError, NotInvertible
-from ybx.exprparse import parse
-from ybx.scalar import GaussianRational, invert
+from ybx.exprparse import parse, parse_scalar
+from ybx.scalar import GaussianRational, invert, scalar_str
 from ybx.tensor import (ColourMatrix, SquareMatrix, flip_matrix,
                         matrix_from_text, matrix_to_text, random_matrix,
                         transform, ybc_const)
@@ -337,7 +337,7 @@ def test_criterion_5_symmetry_closure():
                 skipped += 1
                 continue
             ok, rep = _verify_qd(*out)
-            assert ok, spec.describe()
+            assert ok, spec
             applied += 1
     assert applied >= 400
 
@@ -379,6 +379,47 @@ def test_criterion_6_qbg_bridge():
 # ---------------------------------------------------------------------------
 # 7. spectral system
 
+def _investigate_d_candidates():
+    """Residual study of the garbled D display of the colour-dependent
+    reflection block.
+
+    The sourced display of D lost the operator between its two corner
+    factors.  Both plausible insertions (a sum of the two rank-one terms,
+    and their product) are evaluated here against all four D-equations of
+    the block; neither closes the system.  The admissible form is pinned
+    down exactly: the B-equations force D to commute with
+    u*(1 (x) raise) + v*(raise (x) 1), which fixes the off-diagonal ratio
+    and adds middle-diagonal corrections, and the cubic equation then
+    selects the colour-weighted flip (cataloged as Dspec).  The returned
+    dict records per-candidate equation flags and the resolution.
+    """
+    def cm(rows):
+        return ColourMatrix(SquareMatrix(
+            [[parse_scalar(str(c)) for c in row] for row in rows]))
+
+    A = catalog.instantiate("Aspec")
+    B = catalog.instantiate("Bspec")
+    C = catalog.instantiate("Cspec")
+    candidates = {
+        "sum-insertion": cm([["u - v", 0, 0, 0], [0, "u - v", "1 - v/u", 0],
+                             [0, "1 - u/v", "u - v", 0], [0, 0, 0, "u - v"]]),
+        "product-insertion": cm([["u - v", 0, 0, 0], [0, "u - v", 0, 0],
+                                 [0, 0, "u - v + (1 - u/v)*(1 - v/u)", 0],
+                                 [0, 0, 0, "u - v"]]),
+    }
+
+    def record(name, D):
+        rep = systems.residual("SPECTRAL_REFLECTION", {"A": A, "B": B, "C": C, "D": D})
+        flags = {e.label: e.zero for e in rep.equations}
+        return {"name": name,
+                "entries": [[scalar_str(x) for x in row] for row in D.base.rows],
+                "equation_flags": flags, "all_zero": all(flags.values())}
+
+    return {"candidates": [record(name, D) for name, D in candidates.items()],
+            "resolution": record("colour-weighted flip (catalog entry Dspec)",
+                                 catalog.instantiate("Dspec"))}
+
+
 def test_criterion_7_spectral_block():
     t0 = time.time()
     A = catalog.instantiate("Aspec")
@@ -389,7 +430,7 @@ def test_criterion_7_spectral_block():
     rep = systems.residual("SPECTRAL_REFLECTION", block)
     assert rep.all_zero, rep.to_text()
 
-    outcome = systems.investigate_d_candidates()
+    outcome = _investigate_d_candidates()
     assert outcome["resolution"]["all_zero"]
     assert not any(c["all_zero"] for c in outcome["candidates"])
     with open(os.path.join(GOLDEN, "spectral_reflection.json")) as fh:

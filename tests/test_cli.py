@@ -66,26 +66,36 @@ def test_verify_usage_errors(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "qdouble", "--W", "catalog:W", "--X", "catalog:X1",
-     "--Z", "catalog:Z10", "--samples", "0"],
-    ["verify", "ybe", "--R", "random[dim=0,seed=1]"],
-    ["verify", "ybe", "--R", "random[dim=3,seed=1]"],
-    ["verify", "qdouble", "--W", "catalog:P", "--X", "random[dim=9,seed=1]",
-     "--Z", "catalog:P"],
-    ["orbit", "--W", "catalog:P", "--X", "catalog:I", "--Z", "catalog:P",
-     "--T", "random[dim=3,seed=1]", "--check"],
-    ["verify", "spectral_reflection", "--A", "catalog:P", "--B", "catalog:P",
-     "--C", "catalog:P", "--D", "catalog:P"],
-    ["verify", "braided_family", "--W", "catalog:P", "--X", "catalog:P",
-     "--Y", "catalog:P", "--Z", "catalog:P"],
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "qdouble", "--W", "catalog:W", "--X", "catalog:X1",
+      "--Z", "catalog:Z10", "--samples", "0"], ""),
+    (["verify", "ybe", "--R", "random[dim=0,seed=1]"], ""),
+    (["verify", "ybe", "--R", "random[dim=3,seed=1]"], ""),
+    (["verify", "qdouble", "--W", "catalog:P", "--X", "random[dim=9,seed=1]",
+      "--Z", "catalog:P"], ""),
+    (["orbit", "--W", "catalog:P", "--X", "catalog:I", "--Z", "catalog:P",
+      "--T", "random[dim=3,seed=1]", "--check"],
+     "role T has dim 3, but the triple needs dim 2"),
+    (["verify", "spectral_reflection", "--A", "catalog:P", "--B", "catalog:P",
+      "--C", "catalog:P", "--D", "catalog:P"], ""),
+    (["verify", "braided_family", "--W", "catalog:P", "--X", "catalog:P",
+      "--Y", "catalog:P", "--Z", "catalog:P"], ""),
+    (["solve-z", "--X", "catalog:Aspec"],
+     "--X needs a constant matrix, got a colour matrix"),
+    (["orbit", "--W", "catalog:Aspec", "--X", "catalog:I", "--Z", "catalog:P"],
+     "--W needs a constant matrix, got a colour matrix"),
+    (["orbit", "--W", "random[dim=3,seed=1]", "--X", "random[dim=3,seed=2]",
+      "--Z", "random[dim=3,seed=3]", "--omega", "2"],
+     "dim 3 is not a perfect square"),
 ], ids=["samples-0", "dim-0", "dim-3", "mixed-dims", "3x3-T",
-        "const-in-colour", "const-in-family"])
-def test_specification_errors_exit_2(capsys, argv):
+        "const-in-colour", "const-in-family", "colour-to-solve-z", "colour-to-orbit",
+        "non-square-triple"])
+def test_specification_errors_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+    assert message in err
 
 
 def test_verify_json_round_trips_to_text(capsys):

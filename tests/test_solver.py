@@ -149,7 +149,7 @@ def _coordinates(space, M):
     target = [M.rows[i][j] for i in range(M.dim) for j in range(M.dim)]
     rows = [list(col) for col in zip(*vecs)]          # 16 x dim
     aug = [row + [t] for row, t in zip(rows, target)]
-    pivots = solver.rref(aug, space.dim)
+    pivots, _ = solver.rref(aug, space.dim)
     coords = [GaussianRational(0)] * space.dim
     for r, c in enumerate(pivots):
         coords[c] = aug[r][space.dim]
@@ -274,7 +274,7 @@ def test_random_specs_preserve_solutions():
         except NotInvertible:
             continue
         ok, _ = systems.verify("QDOUBLE", dict(zip("WXZ", out)))
-        assert ok, spec.describe()
+        assert ok, spec
 
 
 def test_random_sl2_has_unit_determinant():
@@ -317,3 +317,5 @@ def test_qbg_admissibility_checks():
     singular = SquareMatrix([[1 if (i, j) == (0, 0) else 0 for j in range(4)]
                              for i in range(4)])
     assert solver.qbg_admissible(singular)[0] is False
+    # the dim-9 flip is invertible, but its partial transpose has rank 1
+    assert solver.qbg_admissible(flip_matrix(3)) == (True, False)

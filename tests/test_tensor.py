@@ -8,10 +8,10 @@ from ybx.errors import (DimensionMismatch, NotInvertible, UnsupportedTransform,
                         ZeroScale)
 from ybx.exprparse import parse_scalar as ps
 from ybx.scalar import GaussianRational, Polynomial, invert
-from ybx.tensor import (ColourMatrix, SquareMatrix, conjugate, embed,
-                        flip_matrix, kron, matrix_from_text, matrix_to_text,
-                        partial_transpose, random_matrix, transform,
-                        ybc_colour, ybc_const)
+from ybx.tensor import (ColourMatrix, SquareMatrix, _det_cofactor, conjugate,
+                        embed, flip_matrix, kron, matrix_from_text,
+                        matrix_to_text, partial_transpose, random_matrix,
+                        transform, ybc_colour, ybc_const)
 
 
 def M(rows):
@@ -221,6 +221,22 @@ def test_inverse_beyond_adjugate_size():
             A = random_matrix(n, 124)
             Ai = A.inverse()
         assert A * Ai == SquareMatrix.identity(n)
+
+
+def test_det_beyond_cofactor_size():
+    for n in (5, 6):
+        for seed in range(6):
+            A = random_matrix(n, 200 + seed)
+            assert A.det() == _det_cofactor(A.rows)
+        rows = [row[:] for row in random_matrix(n, 300).rows]
+        rows[3] = rows[1][:]
+        assert SquareMatrix(rows).det() == 0 == _det_cofactor(rows)
+    A, B = random_matrix(9, 123), random_matrix(9, 456)
+    swapped = [row[:] for row in A.rows]
+    swapped[0], swapped[5] = swapped[5], swapped[0]
+    assert SquareMatrix(swapped).det() == -A.det() != 0
+    assert (A * B).det() == A.det() * B.det()
+    assert A.det() * A.inverse().det() == 1
 
 
 # ---------------------------------------------------------------------------
