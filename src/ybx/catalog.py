@@ -4,8 +4,8 @@ Each entry stores its parameter list, entry expressions, constraints
 (polynomial equalities and nonzero requirements), a witness point that
 satisfies everything, and a sampler for random admissible points.
 Entries marked ``ybe`` are constant Yang-Baxter solutions; the four
-``*spec`` entries are colour-dependent (functions of an ordered pair of
-colour variables u, v).
+``*spec`` entries are colour-dependent (functions of the ordered colour
+pair ``tensor.COLOURS`` = (u, v)).
 
 Branch conditions are encoded as single polynomial equalities, e.g. the
 two diagonal branches of W as (t - q)*(q*t + 1) = 0 and the conditional
@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import exprparse
 from .errors import ConstraintViolated, UnknownName
 from .scalar import (GaussianRational, as_scalar, lowest, substitute, var_id)
-from .tensor import ColourMatrix, SquareMatrix
+from .tensor import COLOURS, ColourMatrix, SquareMatrix
 
 # Stable registration order: governs monomial ordering and printing.
 _VARIABLE_ORDER = ("q", "s", "t", "a", "b", "c", "d", "x", "y", "z",
@@ -32,8 +32,10 @@ for _name in _VARIABLE_ORDER:
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Polynomial equalities (must vanish) and inequations (must not)."""
+    """Polynomial equalities (must vanish) and inequations (must not) of
+    the catalog entry named ``entry``."""
 
+    entry: str
     equalities: tuple = ()    # (label, expr) pairs; expr must evaluate to zero
     inequations: tuple = ()   # (label, expr) pairs; expr must stay nonzero
 
@@ -43,11 +45,11 @@ class ConstraintSet:
         for label, expr in self.equalities:
             val = substitute(exprparse.parse_scalar(expr), assignment)
             if isinstance(val, GaussianRational) and not val.is_zero():
-                raise ConstraintViolated("<entry>", label)
+                raise ConstraintViolated(self.entry, label)
         for label, expr in self.inequations:
             val = substitute(exprparse.parse_scalar(expr), assignment)
             if isinstance(val, GaussianRational) and val.is_zero():
-                raise ConstraintViolated("<entry>", label)
+                raise ConstraintViolated(self.entry, label)
 
     def describe(self):
         return [label for label, _ in self.equalities] + \
@@ -59,27 +61,29 @@ class NamedMatrix:
     name: str
     params: tuple
     entries: tuple                 # rows of expression strings
-    constraints: ConstraintSet = ConstraintSet()
-    colour: tuple | None = None    # ("u", "v") for colour-dependent entries
+    constraints: ConstraintSet
+    colour: bool = False           # a function of the colour pair COLOURS
     witness: tuple = ()            # (param, expr) pairs
     ybe: bool = False              # constant Yang-Baxter solution
     note: str = ""
-    sampling: tuple = ()           # (param, ("choice", exprs...)) overrides
+    sampling: tuple = ()           # (param, (expr, ...)) pairs: drawn from the exprs
 
-    def witness_assignment(self):
-        return {p: exprparse.parse_scalar(e) for p, e in self.witness}
+    @property
+    def var_names(self):
+        """Parameters, then the colour pair for colour entries."""
+        return list(self.params) + (list(COLOURS) if self.colour else [])
 
 
 _CATALOG: dict[str, NamedMatrix] = {}
 
 
-def _entry(name, params, rows, eqs=(), neqs=(), colour=None, witness=(),
+def _entry(name, params, rows, eqs=(), neqs=(), colour=False, witness=(),
            ybe=False, note="", sampling=()):
     _CATALOG[name] = NamedMatrix(
         name=name,
         params=tuple(params),
         entries=tuple(tuple(str(c) for c in row) for row in rows),
-        constraints=ConstraintSet(tuple(eqs), tuple(neqs)),
+        constraints=ConstraintSet(name, tuple(eqs), tuple(neqs)),
         colour=colour,
         witness=tuple(witness),
         ybe=ybe,
@@ -103,7 +107,7 @@ _entry("W", ["q", "s", "t"],
        witness=[("q", "2"), ("s", "3"), ("t", "2")],
        ybe=True,
        note="one-parameter deformed flip; diagonal branch t=q (standard) or t=-q^-1 (nonstandard)",
-       sampling=[("t", ("choice", "q", "-q^-1"))])
+       sampling=[("t", ("q", "-q^-1"))])
 
 _entry("Rex1", [], [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, -1]],
        ybe=True, note="exceptional solution: rank-one corner added to a signed identity")
@@ -137,7 +141,7 @@ _entry("X2", ["q", "s", "t", "a", "b"],
        neqs=[("q != 0", "q"), ("s != 0", "s"), ("b != 0", "b")],
        witness=[("q", "2"), ("s", "3"), ("t", "2"), ("a", "1"), ("b", "2")],
        note="W-shaped middle factor sharing q, s, t with its companion",
-       sampling=[("t", ("choice", "q", "-q^-1"))])
+       sampling=[("t", ("q", "-q^-1"))])
 
 _entry("X3", ["a", "b", "c", "d"],
        [["a", 0, 0, 0], [0, "b", 0, 0], [0, 0, "c", 0], [0, 0, 0, "d"]],
@@ -152,7 +156,7 @@ _entry("X4", ["q", "s", "t", "a", "b", "c"],
        witness=[("q", "2"), ("s", "1"), ("t", "2"), ("a", "1"), ("b", "2"), ("c", "3")],
        note="X2 with an extra corner; admissible only at s^2=1; "
             "the Z41 companion branch needs q^2 = b^2 = -1",
-       sampling=[("s", ("choice", "1", "-1")), ("t", ("choice", "q", "-q^-1"))])
+       sampling=[("s", ("1", "-1")), ("t", ("q", "-q^-1"))])
 
 _entry("X5", ["a", "b", "c"],
        [["a", 0, 0, "b"], [0, "-a", "b", 0], [0, 0, "c", 0], [0, 0, 0, "c"]],
@@ -187,7 +191,7 @@ _entry("Z20", ["q", "b", "t"],
        witness=[("q", "2"), ("b", "3"), ("t", "2")],
        ybe=True,
        note="W-shaped partner for X2; q, t and b are shared with the companion X2",
-       sampling=[("t", ("choice", "q", "-q^-1"))])
+       sampling=[("t", ("q", "-q^-1"))])
 
 _entry("Z21", ["q", "r", "b", "delta"],
        [["q", 0, 0, "delta"], [0, "r", 0, 0],
@@ -198,7 +202,7 @@ _entry("Z21", ["q", "r", "b", "delta"],
        ybe=True,
        note="extra partner for X2 at q^2=-1 (b shared with X2); the delta != 0 corner "
             "additionally requires the companion s^2 = -1 (exact residual computation)",
-       sampling=[("q", ("choice", "i", "-i")), ("delta", ("choice", "0"))])
+       sampling=[("q", ("i", "-i")), ("delta", ("0",))])
 
 _entry("Z30", ["p", "r", "x", "y"],
        [["p", 0, 0, 0], [0, "r", 0, 0], [0, 0, "x", 0], [0, 0, 0, "y"]],
@@ -226,7 +230,7 @@ _entry("Z8V", ["x", "y", "eps"],
        ybe=True,
        note="eight-vertex solutions beyond the generic lists; partner for X3 with "
             "a degenerate-signed diagonal",
-       sampling=[("eps", ("choice", "1", "-1"))])
+       sampling=[("eps", ("1", "-1"))])
 
 _entry("Z41", ["p", "a", "b", "c"],
        [["p", 0, 0, "-a*c/2*(p + p^-1)"], [0, "b*p^-1", 0, 0],
@@ -238,7 +242,7 @@ _entry("Z41", ["p", "a", "b", "c"],
        note="extra partner for X4; corner sign and the unit marks b are fixed here by "
             "exact nullspace computation (the source display is garbled); the companion "
             "X4 has q^2 = -1 and its own corner unit i*b, i.e. squares to -1; a, c shared",
-       sampling=[("b", ("choice", "1", "-1"))])
+       sampling=[("b", ("1", "-1"))])
 
 _entry("Z51", ["eps"],
        [[1, 0, 0, 1], [0, "eps", 1, 0], [0, 1, "-eps", 0], [-1, 0, 0, 1]],
@@ -247,7 +251,7 @@ _entry("Z51", ["eps"],
        ybe=True,
        note="partner for X5; the direct pairing with the cataloged X5 needs eps=-1 "
             "(eps=+1 pairs with the transposed triple)",
-       sampling=[("eps", ("choice", "1", "-1"))])
+       sampling=[("eps", ("1", "-1"))])
 
 _entry("Z52", ["k"],
        [["k - k^-1 + 2", 0, 0, "k - k^-1"], [0, "k + k^-1", "k - k^-1", 0],
@@ -265,7 +269,7 @@ _entry("Z53", ["k", "eps"],
        ybe=True,
        note="partner for X5 with k = c/a; only eps=+1 yields a Yang-Baxter solution "
             "for free k (the eps=-1 branch fails the cubic equation; exact computation)",
-       sampling=[("eps", ("choice", "1"))])
+       sampling=[("eps", ("1",))])
 
 _entry("Z54", ["k"],
        [["k", 0, 0, 0], [0, 1, 0, 0], [0, "k - k^-1", 1, 0], [0, 0, 0, "-k^-1"]],
@@ -278,23 +282,23 @@ _entry("Z54", ["k"],
 _entry("Aspec", [],
        [["u - v + 1", 0, 0, 0], [0, "u - v", 1, 0], [0, 1, "u - v", 0],
         [0, 0, 0, "u - v + 1"]],
-       colour=("u", "v"),
+       colour=True,
        note="difference-form solution: (u-v) times the unit plus the flip")
 
 _entry("Bspec", [],
        [["u", 0, 0, 0], [0, "u", 1, 0], [0, 0, "u", 0], [0, 0, 0, "u"]],
-       colour=("u", "v"),
+       colour=True,
        note="first-colour shift plus an upper corner; colour-swap conjugate of Cspec")
 
 _entry("Cspec", [],
        [["v", 0, 0, 0], [0, "v", 0, 0], [0, 1, "v", 0], [0, 0, 0, "v"]],
-       colour=("u", "v"),
+       colour=True,
        note="second-colour shift plus a lower corner; colour-swap conjugate of Bspec")
 
 _entry("Dspec", [],
        [["u - v + 1", 0, 0, 0], [0, "u - v", "v/u", 0], [0, "u/v", "u - v", 0],
         [0, 0, 0, "u - v + 1"]],
-       colour=("u", "v"),
+       colour=True,
        note="(u-v) times the unit plus the colour-weighted flip; reconstructed by exact "
             "solving (the source display of this matrix is garbled), "
             "all eight block equations vanish identically")
@@ -349,21 +353,18 @@ def instantiate(name: str, assignment=None):
     """
     entry = get(name)
     resolved = _resolve_assignment(entry, assignment or {})
-    try:
-        entry.constraints.check(resolved)
-    except ConstraintViolated as exc:
-        raise ConstraintViolated(name, exc.constraint) from None
+    entry.constraints.check(resolved)
     rows = [[substitute(exprparse.parse_scalar(cell), resolved) for cell in row]
             for row in entry.entries]
     M = SquareMatrix(rows)
-    if entry.colour is not None:
-        return ColourMatrix(M, entry.colour)
+    if entry.colour:
+        return ColourMatrix(M)
     return M
 
 
 def witness(name: str):
     """The stored admissible witness point of an entry."""
-    return get(name).witness_assignment()
+    return {p: exprparse.parse_scalar(e) for p, e in get(name).witness}
 
 
 def sample_assignment(name: str, rng: random.Random, pins=None):
@@ -371,32 +372,30 @@ def sample_assignment(name: str, rng: random.Random, pins=None):
 
     ``pins`` maps parameters to fixed values or expression strings; pinned
     expressions may refer to parameters sampled earlier in declaration
-    order (e.g. t="q").
+    order (e.g. t="q").  Each point is resolved like an ``instantiate``
+    assignment, so an unknown pin raises.  When no point is admissible,
+    the error names a constraint the pins alone break, if there is one.
     """
     entry = get(name)
     pins = pins or {}
     rules = dict(entry.sampling)
     for _ in range(200):
-        assignment = {}
+        raw = dict(pins)
         for p in entry.params:
             if p in pins:
-                val = pins[p]
-                val = exprparse.parse_scalar(val) if isinstance(val, str) else as_scalar(val)
-                assignment[p] = lowest(substitute(val, assignment))
                 continue
-            rule = rules.get(p)
-            if rule is not None and rule[0] == "choice":
-                expr = rng.choice(rule[1:])
-                assignment[p] = lowest(substitute(exprparse.parse_scalar(expr), assignment))
+            if p in rules:
+                raw[p] = rng.choice(rules[p])
             else:
                 num = rng.choice([n for n in range(-5, 6) if n])
-                den = rng.choice([1, 1, 1, 2, 3])
-                assignment[p] = GaussianRational(Fraction(num, den))
+                raw[p] = Fraction(num, rng.choice([1, 1, 1, 2, 3]))
+        assignment = _resolve_assignment(entry, raw)
         try:
             entry.constraints.check(assignment)
         except ConstraintViolated:
             continue
         return assignment
+    entry.constraints.check(_resolve_assignment(entry, pins))
     raise ConstraintViolated(name, "could not sample an admissible point")
 
 
@@ -408,7 +407,7 @@ def list_catalog():
             "name": name,
             "params": list(e.params),
             "constraints": e.constraints.describe(),
-            "colour": list(e.colour) if e.colour else None,
+            "colour": list(COLOURS) if e.colour else None,
             "ybe": e.ybe,
             "note": e.note,
         })

@@ -26,6 +26,9 @@ from .tensor import SquareMatrix, matrix_from_text, matrix_to_text, random_matri
 from . import exprparse
 
 DEFAULT_SEED = 20211997
+# Far above any dim whose commutator finishes quickly; a typo such as
+# dim=10**12 must not allocate dim^2 cells.
+MAX_RANDOM_DIM = 64
 
 
 class UsageError(YbxError):
@@ -34,7 +37,6 @@ class UsageError(YbxError):
 
 class _MatrixSpec:
     def __init__(self, text):
-        self.text = text
         self.kind = None
         self.name = None
         self.pins = {}
@@ -78,6 +80,8 @@ class _MatrixSpec:
                 raise UsageError("random spec needs dim and seed: %r" % text)
             if self.dim < 1:
                 raise UsageError("random dim must be at least 1: %r" % text)
+            if self.dim > MAX_RANDOM_DIM:
+                raise UsageError("random dim must be at most %d: %r" % (MAX_RANDOM_DIM, text))
         else:
             raise UsageError("unrecognised matrix spec %r" % text)
 
@@ -86,7 +90,7 @@ class _MatrixSpec:
             return []
         return [p for p in catalog.get(self.name).params if p not in self.pins]
 
-    def resolve(self, rng=None, symbolic=False):
+    def resolve(self, rng, symbolic):
         """(matrix, provenance string).  For catalog specs with free
         parameters, a random admissible point is sampled from ``rng``
         unless ``symbolic`` keeps them symbolic."""
@@ -98,7 +102,7 @@ class _MatrixSpec:
             return random_matrix(self.dim, self.seed), \
                 "random[dim=%d,seed=%d]" % (self.dim, self.seed)
         entry = catalog.get(self.name)
-        if symbolic or (not self.free_params()) or rng is None:
+        if symbolic or not self.free_params():
             assignment = dict(self.pins)
             matrix = catalog.instantiate(self.name, assignment)
             shown = assignment
@@ -267,6 +271,13 @@ def cmd_orbit(args, extra):
 # ---------------------------------------------------------------------------
 # catalog
 
+def _entry_text(name):
+    """Matrix-file text of a catalog entry, symbolic in its parameters."""
+    matrix = catalog.instantiate(name)
+    base = matrix.base if hasattr(matrix, "base") else matrix
+    return matrix_to_text(base, var_names=catalog.get(name).var_names)
+
+
 def cmd_catalog(args, extra):
     if extra:
         raise UsageError("unexpected arguments: %s" % " ".join(extra))
@@ -282,10 +293,7 @@ def cmd_catalog(args, extra):
         if not args.name:
             raise UsageError("catalog show needs an entry name")
         entry = catalog.get(args.name)
-        matrix = catalog.instantiate(args.name)
-        base = matrix.base if hasattr(matrix, "base") else matrix
-        var_names = list(entry.params) + (list(entry.colour) if entry.colour else [])
-        sys.stdout.write(matrix_to_text(base, var_names=var_names))
+        sys.stdout.write(_entry_text(args.name))
         for label in entry.constraints.describe():
             print("constraint: %s" % label)
         if entry.witness:
@@ -293,21 +301,15 @@ def cmd_catalog(args, extra):
         if entry.note:
             print("note: %s" % entry.note)
         return 0
-    if args.action == "export":
-        if not args.dir:
-            raise UsageError("catalog export needs --dir")
-        os.makedirs(args.dir, exist_ok=True)
-        for name in catalog.names():
-            entry = catalog.get(name)
-            matrix = catalog.instantiate(name)
-            base = matrix.base if hasattr(matrix, "base") else matrix
-            var_names = list(entry.params) + (list(entry.colour) if entry.colour else [])
-            path = os.path.join(args.dir, "%s.mat" % name)
-            with open(path, "w") as fh:
-                fh.write(matrix_to_text(base, var_names=var_names))
-            print("wrote %s" % path)
-        return 0
-    raise UsageError("unknown catalog action %r" % args.action)
+    if not args.dir:
+        raise UsageError("catalog export needs --dir")
+    os.makedirs(args.dir, exist_ok=True)
+    for name in catalog.names():
+        path = os.path.join(args.dir, "%s.mat" % name)
+        with open(path, "w") as fh:
+            fh.write(_entry_text(name))
+        print("wrote %s" % path)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -324,20 +326,24 @@ def _build_parser():
     p.add_argument("--symbolic", action="store_true")
     p.add_argument("--json", action="store_true")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("solve-z", help="nullspace of the linear Z equation")
     p.add_argument("--X", dest="X", required=True)
     p.add_argument("--emit-ybe", action="store_true")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=cmd_solve_z)
 
     p = sub.add_parser("orbit", help="apply a symmetry transformation")
     p.add_argument("--word", default="")
     p.add_argument("--check", action="store_true")
+    p.set_defaults(run=cmd_orbit)
 
     p = sub.add_parser("catalog", help="browse or export the catalog")
     p.add_argument("action", choices=("list", "show", "export"))
     p.add_argument("name", nargs="?")
     p.add_argument("--dir", default=None)
+    p.set_defaults(run=cmd_catalog)
     return parser
 
 
@@ -349,15 +355,7 @@ def main(argv=None) -> int:
     except SystemExit:
         return 2
     try:
-        if args.command == "verify":
-            return cmd_verify(args, extra)
-        if args.command == "solve-z":
-            return cmd_solve_z(args, extra)
-        if args.command == "orbit":
-            return cmd_orbit(args, extra)
-        if args.command == "catalog":
-            return cmd_catalog(args, extra)
-        raise UsageError("unknown command %r" % args.command)
+        return args.run(args, extra)
     except NotInvertible as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -158,6 +158,9 @@ class Scalar:
     def __neg__(self):
         return self._neg()
 
+    def _div(self, o):
+        return self._mul(o.inv())
+
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
@@ -205,9 +208,6 @@ class GaussianRational(Scalar):
         a, b, c, d = self.re, self.im, o.re, o.im
         return GaussianRational(a * c - b * d, a * d + b * c)
 
-    def _div(self, o):
-        return self._mul(o.inv())
-
     def inv(self):
         n = self.re * self.re + self.im * self.im
         if not n:
@@ -247,8 +247,8 @@ class Polynomial(Scalar):
         self.terms = terms
 
     @staticmethod
-    def variable(name, exp=1):
-        return Polynomial.from_vid(var_id(name), exp)
+    def variable(name):
+        return Polynomial.from_vid(var_id(name))
 
     @staticmethod
     def from_vid(vid, exp=1):
@@ -302,22 +302,15 @@ class Polynomial(Scalar):
         return Polynomial(out)
 
     def scale(self, c):
-        c = as_gaussian(c)
+        """Every coefficient times the GaussianRational ``c``."""
         if c.is_zero():
             return Polynomial({})
         return Polynomial({m: k._mul(c) for m, k in self.terms.items()})
 
     def _div(self, o):
-        if o.is_zero():
-            raise DivisionByZero("division by zero polynomial")
-        if o.is_constant():
-            return self.scale(o.constant_value().inv())
-        if len(o.terms) == 1:
-            # exact Laurent division by a single term
-            (m, c), = o.terms.items()
-            inv = Polynomial({_mono_inv(m): c.inv()})
-            return self._mul(inv)
-        return RationalFunction(self, o)
+        if len(o.terms) > 1:
+            return RationalFunction(self, o)
+        return self._mul(o.inv())
 
     def inv(self):
         if self.is_zero():
@@ -391,9 +384,6 @@ class RationalFunction(Scalar):
     def _mul(self, o):
         return RationalFunction(self.num._mul(o.num), self.den._mul(o.den))
 
-    def _div(self, o):
-        return self._mul(o.inv())
-
     def inv(self):
         if self.num.is_zero():
             raise DivisionByZero("inversion of zero")
@@ -432,14 +422,6 @@ def _content(p):
 
 # ---------------------------------------------------------------------------
 # coercion and generic helpers
-
-def as_gaussian(x):
-    if type(x) is GaussianRational:
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(x)
-    raise TypeError("cannot interpret %r as a Gaussian rational" % (x,))
-
 
 def as_scalar(x):
     """Lift ints and Fractions into the tower; pass scalars through."""
@@ -506,12 +488,9 @@ def invert(x):
 def lowest(x):
     """Push a scalar down to the lowest tower level that represents it."""
     if isinstance(x, RationalFunction):
-        if x.den.is_constant():
-            x = x.num.scale(x.den.constant_value().inv())
-        elif len(x.den.terms) == 1:
-            x = x.num._div(x.den)
-        else:
+        if len(x.den.terms) > 1:
             return x
+        x = x.num._div(x.den)
     if isinstance(x, Polynomial) and x.is_constant():
         return x.constant_value()
     return x
@@ -531,10 +510,6 @@ def substitute(x, assignment):
         vid = var_id(key) if isinstance(key, str) else key
         mapping[vid] = as_scalar(val)
     return x.substitute(mapping)
-
-
-def variables(x):
-    return as_scalar(x).variables()
 
 
 # ---------------------------------------------------------------------------

@@ -60,10 +60,9 @@ class SolutionSpace:
         basis leaves the rank unchanged."""
         if M.dim != self.member_dim:
             return False
-        vecs = self.vectors()
+        # the basis is independent by construction, so its rank is self.dim
         target = [M.rows[i][j] for i in range(M.dim) for j in range(M.dim)]
-        rank = len(rref(vecs, len(target))[0])
-        return len(rref(vecs + [target], len(target))[0]) == rank
+        return len(rref(self.vectors() + [target], len(target))[0]) == self.dim
 
 
 def solve_z_linear(X: SquareMatrix) -> SolutionSpace:
@@ -79,8 +78,8 @@ def solve_z_linear(X: SquareMatrix) -> SolutionSpace:
             "solve_z_linear needs numeric entries; substitute parameters first")
     n2 = X.dim
     N = _local_dim(X)
-    M1 = embed(X, (1, 2), N) * embed(X, (1, 3), N)
-    M2 = embed(X, (1, 3), N) * embed(X, (1, 2), N)
+    M1 = embed(X, (1, 2)) * embed(X, (1, 3))
+    M2 = embed(X, (1, 3)) * embed(X, (1, 2))
     # Row (r, c) of the system is entry (r, c) of M1 Z23 - Z23 M2.  With
     # r = (a, x) and c = (b, y) split at leg 1, that entry is
     # sum_k M1[r][b, k] Z[k, y] - sum_l Z[x, l] M2[a, l][c].
@@ -220,15 +219,11 @@ def _step_apply(triple, step):
         if kind == "t":
             return (W.transpose(), X.transpose(), Z.transpose())
         if kind == "dsym1":
-            a, b = step[1], step[2]
-            return (transform(W, a) if a != "id" else W, X,
-                    transform(Z, b) if b != "id" else Z)
+            return (transform(W, step[1]), X, transform(Z, step[2]))
         if kind == "dsym2":
-            c, d = step[1], step[2]
-            return (transform(W, c), transform(X, "-"), transform(Z, d))
+            return (transform(W, step[1]), transform(X, "-"), transform(Z, step[2]))
         if kind == "dsym3":
-            c, d = step[1], step[2]
-            return (transform(Z, c), transform(X, "+"), transform(W, d))
+            return (transform(Z, step[1]), transform(X, "+"), transform(W, step[2]))
     except NotInvertible as exc:
         raise NotInvertible("step %s: %s" % (step[0], exc)) from None
     raise ValueError("unknown step %r" % (step,))
@@ -237,6 +232,10 @@ def _step_apply(triple, step):
 def apply_transform(triple, spec: TransformSpec):
     """Image of a (W, X, Z) triple under a symmetry transformation."""
     W, X, Z = triple
+    for role, mat in (("X", X), ("Z", Z)):
+        if mat.dim != W.dim:
+            raise DimensionMismatch("role %s has dim %d, but role W has dim %d"
+                                    % (role, mat.dim, W.dim))
     if spec.t_mat is not None or spec.s_mat is not None or any(
             v is not None for v in (spec.omega, spec.xi, spec.zeta)):
         N = _local_dim(W)

@@ -9,7 +9,7 @@ without new code.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import product
 from math import isqrt
 
@@ -114,11 +114,6 @@ class MatrixFamily:
     def dim(self):
         return self.grid[0][0].dim
 
-    @staticmethod
-    def constant(members):
-        """Lift a grid of constant SquareMatrix members to a family."""
-        return MatrixFamily([[ColourMatrix.constant(m) for m in row] for row in members])
-
     def member(self, J, K) -> ColourMatrix:
         return self.grid[J][K]
 
@@ -153,22 +148,16 @@ class EquationResidual:
     nonzero_count: int
     witnesses: list
 
-    def to_dict(self):
-        return {"label": self.label, "zero": self.zero,
-                "nonzero_count": self.nonzero_count, "witnesses": self.witnesses}
-
 
 @dataclass
 class ResidualReport:
     system: str
     assignment: dict
+    all_zero: bool = True      # declared before equations: the JSON key order
     equations: list = field(default_factory=list)
-    all_zero: bool = True
 
     def to_dict(self):
-        return {"system": self.system, "assignment": dict(self.assignment),
-                "all_zero": self.all_zero,
-                "equations": [e.to_dict() for e in self.equations]}
+        return asdict(self)
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2)
@@ -225,8 +214,7 @@ def _collect(residual: SquareMatrix, N, cap, family_index=None):
     return nonzero, witnesses
 
 
-def residual(sysdef, assignment, witness_cap=WITNESS_CAP,
-             provenance=None) -> ResidualReport:
+def residual(sysdef, assignment, provenance=None) -> ResidualReport:
     """Exact evaluation of every equation of a system.
 
     ``assignment`` maps role names to SquareMatrix (const), ColourMatrix
@@ -275,7 +263,7 @@ def residual(sysdef, assignment, witness_cap=WITNESS_CAP,
             count, wit = 0, []
             for J1, J2, J3 in product(range(A.N), repeat=3):
                 res = ybc_colour(A.member(J1, J2), B.member(J1, J3), C.member(J2, J3))
-                c, w = _collect(res, N, witness_cap - len(wit),
+                c, w = _collect(res, N, WITNESS_CAP - len(wit),
                                 family_index=(J1, J2, J3))
                 count += c
                 wit.extend(w)
@@ -283,7 +271,7 @@ def residual(sysdef, assignment, witness_cap=WITNESS_CAP,
             ybc = ybc_const if eq.kind == "const" else ybc_colour
             A = tagged(ra, ta)
             res = ybc(A, tagged(rb, tb), tagged(rc, tc))
-            count, wit = _collect(res, isqrt(A.dim), witness_cap)
+            count, wit = _collect(res, isqrt(A.dim), WITNESS_CAP)
         eqres = EquationResidual(eq.label, count == 0, count, wit)
         report.equations.append(eqres)
         if count:
@@ -291,9 +279,9 @@ def residual(sysdef, assignment, witness_cap=WITNESS_CAP,
     return report
 
 
-def verify(sysdef, assignment, witness_cap=WITNESS_CAP, provenance=None):
+def verify(sysdef, assignment, provenance=None):
     """(all residuals exactly zero?, full report)."""
-    rep = residual(sysdef, assignment, witness_cap, provenance=provenance)
+    rep = residual(sysdef, assignment, provenance=provenance)
     return rep.all_zero, rep
 
 

@@ -105,12 +105,9 @@ class SquareMatrix:
         if self.dim != other.dim:
             raise DimensionMismatch("dims %d and %d differ" % (self.dim, other.dim))
 
-    def map(self, fn):
-        return SquareMatrix([[fn(a) for a in row] for row in self.rows])
-
     def substitute(self, assignment):
         from .scalar import substitute
-        return self.map(lambda a: substitute(a, assignment))
+        return SquareMatrix([[substitute(a, assignment) for a in row] for row in self.rows])
 
     def variables(self):
         out = set()
@@ -246,12 +243,10 @@ def flip_matrix(N: int) -> SquareMatrix:
     return SquareMatrix(rows)
 
 
-def embed(M: SquareMatrix, legs, localdim: int) -> SquareMatrix:
+def embed(M: SquareMatrix, legs) -> SquareMatrix:
     """Place M (dim N^2) on two legs of the N (x) N (x) N space, identity
     on the third leg."""
-    N = localdim
-    if M.dim != N * N:
-        raise DimensionMismatch("embed needs dim %d, got %d" % (N * N, M.dim))
+    N = _local_dim(M)
     a, b = legs
     if a == b or not {a, b} <= {1, 2, 3}:
         raise DimensionMismatch("legs must be two distinct values in {1,2,3}")
@@ -289,70 +284,55 @@ def ybc_const(R: SquareMatrix, S: SquareMatrix, T: SquareMatrix) -> SquareMatrix
     """Constant Yang-Baxter commutator R12 S13 T23 - T23 S13 R12."""
     if not (R.dim == S.dim == T.dim):
         raise DimensionMismatch("commutator needs equal dims")
-    N = _local_dim(R)
-    R12 = embed(R, (1, 2), N)
-    S13 = embed(S, (1, 3), N)
-    T23 = embed(T, (2, 3), N)
+    R12 = embed(R, (1, 2))
+    S13 = embed(S, (1, 3))
+    T23 = embed(T, (2, 3))
     return R12 * S13 * T23 - T23 * S13 * R12
 
 
 # ---------------------------------------------------------------------------
 # colour-dependent matrices
 
+# The ordered colour pair of every colour-dependent matrix.  Names, not ids:
+# registering them when this module loads would put u and v ahead of the
+# catalog's variable order, which fixes the printed term order.
+COLOURS = ("u", "v")
+
+
 class ColourMatrix:
-    """A matrix-valued function of an ordered colour pair (u, v): a base
-    SquareMatrix whose entries may involve the two colour variables."""
+    """A matrix-valued function of the ordered colour pair ``COLOURS``: a
+    base SquareMatrix whose entries may involve the two colour variables."""
 
-    __slots__ = ("base", "colour_vars")
+    __slots__ = ("base",)
 
-    def __init__(self, base: SquareMatrix, colour_vars=("u", "v")):
-        u, v = colour_vars
+    def __init__(self, base: SquareMatrix):
         self.base = base
-        self.colour_vars = (var_id(u) if isinstance(u, str) else u,
-                            var_id(v) if isinstance(v, str) else v)
 
     @property
     def dim(self):
         return self.base.dim
 
-    @staticmethod
-    def constant(M: SquareMatrix, colour_vars=("u", "v")):
-        """Lift a constant matrix to a colour-independent ColourMatrix."""
-        return ColourMatrix(M, colour_vars)
-
     def at(self, u_val, v_val) -> SquareMatrix:
         """Base matrix with the colour pair substituted (simultaneously)."""
-        u, v = self.colour_vars
+        u, v = COLOURS
         return self.base.substitute({u: u_val, v: v_val})
 
     def at_vars(self, uname, vname) -> SquareMatrix:
-        u, v = self.colour_vars
-        return self.base.substitute({u: Polynomial.variable(uname),
-                                     v: Polynomial.variable(vname)})
+        return self.at(Polynomial.variable(uname), Polynomial.variable(vname))
 
     def swap_conjugate(self) -> "ColourMatrix":
         """The colour-swap conjugate: (u,v) -> P . self(v,u) . P."""
-        u, v = self.colour_vars
-        swapped = self.base.substitute({u: Polynomial.from_vid(v),
-                                        v: Polynomial.from_vid(u)})
-        N = _local_dim(self.base)
-        P = flip_matrix(N)
-        return ColourMatrix(P * swapped * P, self.colour_vars)
-
-    def map_base(self, fn) -> "ColourMatrix":
-        return ColourMatrix(fn(self.base), self.colour_vars)
+        u, v = COLOURS
+        P = flip_matrix(_local_dim(self.base))
+        return ColourMatrix(P * self.at_vars(v, u) * P)
 
     def __eq__(self, other):
-        return (isinstance(other, ColourMatrix)
-                and self.colour_vars == other.colour_vars
-                and self.base == other.base)
+        return isinstance(other, ColourMatrix) and self.base == other.base
 
     __hash__ = None
 
     def __repr__(self):
-        u, v = self.colour_vars
-        return "ColourMatrix(dim=%d, colours=(%s,%s))" % (
-            self.base.dim, var_name(u), var_name(v))
+        return "ColourMatrix(dim=%d, colours=(%s,%s))" % ((self.base.dim,) + COLOURS)
 
 
 def ybc_colour(R: ColourMatrix, S: ColourMatrix, T: ColourMatrix) -> SquareMatrix:
@@ -373,16 +353,12 @@ def transform(M, op: str):
     ``-`` inverse, ``#`` inverse-of-flip-conjugate, ``id`` nothing.  The
     colour-swap tag ``dd`` is only defined on a ColourMatrix.
     """
+    if op == "id":
+        return M
     if isinstance(M, ColourMatrix):
         if op == "dd":
             return M.swap_conjugate()
-        if op == "id":
-            return M
-        if op in ("t", "+", "-", "#"):
-            return M.map_base(lambda base: transform(base, op))
-        raise UnsupportedTransform("unknown transform %r" % op)
-    if op == "id":
-        return M
+        return ColourMatrix(transform(M.base, op))
     if op == "t":
         return M.transpose()
     if op == "+":
@@ -400,7 +376,7 @@ def transform(M, op: str):
 
 
 def conjugate(M: SquareMatrix, left: SquareMatrix, right: SquareMatrix,
-              scale=1) -> SquareMatrix:
+              scale) -> SquareMatrix:
     """scale * (left (x) right) M (left (x) right)^-1."""
     scale = as_scalar(scale)
     if scale.is_zero():

@@ -249,12 +249,12 @@ def test_criterion_3_guessed_solutions():
 
 def _system_rows(X):
     from ybx.tensor import embed
-    M1 = embed(X, (1, 2), 2) * embed(X, (1, 3), 2)
-    M2 = embed(X, (1, 3), 2) * embed(X, (1, 2), 2)
+    M1 = embed(X, (1, 2)) * embed(X, (1, 3))
+    M2 = embed(X, (1, 3)) * embed(X, (1, 2))
     cols = []
     for k in range(4):
         for l in range(4):
-            E = embed(SquareMatrix.unit(4, k, l), (2, 3), 2)
+            E = embed(SquareMatrix.unit(4, k, l), (2, 3))
             C = M1 * E - E * M2
             cols.append([C.rows[i][j] for i in range(8) for j in range(8)])
     rows = [[cols[u][e] for u in range(16)] for e in range(64)]
@@ -448,11 +448,9 @@ def test_criterion_7_spectral_block():
 def test_criterion_8_formats_and_errors():
     t0 = time.time()
     for name in catalog.names():
-        entry = catalog.get(name)
         m = catalog.instantiate(name)
         base = m.base if isinstance(m, ColourMatrix) else m
-        var_names = list(entry.params) + (list(entry.colour) if entry.colour else [])
-        text = matrix_to_text(base, var_names=var_names)
+        text = matrix_to_text(base, var_names=catalog.get(name).var_names)
         again, names2 = matrix_from_text(text)
         assert matrix_to_text(again, var_names=names2) == text, name
 

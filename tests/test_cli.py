@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ybx import cli
 from ybx.tensor import matrix_from_text
@@ -87,15 +90,37 @@ def test_verify_usage_errors(capsys):
     (["orbit", "--W", "random[dim=3,seed=1]", "--X", "random[dim=3,seed=2]",
       "--Z", "random[dim=3,seed=3]", "--omega", "2"],
      "dim 3 is not a perfect square"),
+    (["orbit", "--W", "catalog:P", "--X", "random[dim=9,seed=1]", "--Z", "catalog:P"],
+     "role X has dim 9, but role W has dim 4"),
+    (["orbit", "--W", "catalog:P", "--X", "random[dim=9,seed=1]", "--Z", "catalog:P",
+      "--word", "t", "--check"],
+     "role X has dim 9, but role W has dim 4"),
+    (["orbit", "--W", "catalog:P", "--X", "random[dim=9,seed=1]", "--Z", "catalog:P",
+      "--omega", "2"],
+     "role X has dim 9, but role W has dim 4"),
+    (["verify", "ybe", "--R", "catalog:W[qq=2,t=q]", "--samples", "2"],
+     "unknown parameters"),
+    (["verify", "ybe", "--R", "catalog:W[q=1]"], "q^2 != 1"),
 ], ids=["samples-0", "dim-0", "dim-3", "mixed-dims", "3x3-T",
         "const-in-colour", "const-in-family", "colour-to-solve-z", "colour-to-orbit",
-        "non-square-triple"])
+        "non-square-triple", "orbit-mixed-dims", "orbit-mixed-dims-check",
+        "orbit-mixed-dims-omega", "unknown-pin-sampled", "pins-break-constraint"])
 def test_specification_errors_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
     assert message in err
+
+
+@pytest.mark.parametrize("dim", [65, 10**12])
+def test_random_dim_is_bounded_without_allocating(capsys, monkeypatch, dim):
+    def refuse(*args):
+        raise AssertionError("random_matrix called for dim %d" % dim)
+    monkeypatch.setattr(cli, "random_matrix", refuse)
+    code, out, err = run(capsys, "verify", "ybe", "--R", "random[dim=%d,seed=1]" % dim)
+    assert code == 2 and out == ""
+    assert err.startswith("error: random dim must be at most 64")
 
 
 def test_verify_json_round_trips_to_text(capsys):
@@ -233,3 +258,78 @@ def test_random_spec_reproducible(capsys, tmp_path):
     code, out2, _ = run(capsys, "orbit", "--W", "catalog:P",
                         "--X", "random[dim=4,seed=11]", "--Z", "catalog:P")
     assert out1 == out2
+
+
+# ---------------------------------------------------------------------------
+# the exit contract over generated command lines
+
+_ROLES = {"ybe": "R", "qbg": "QR", "qdouble": "WXZ", "reflection": "ABCD",
+          "spectral_reflection": "ABCD", "braided_family": "WXYZ", "nosuch": "R"}
+_GOOD_SPECS = ["catalog:P", "catalog:I", "catalog:W", "catalog:W[t=q]",
+               "catalog:W[q=2,s=3,t=q]", "catalog:X1", "catalog:Z10", "catalog:Rex2",
+               "catalog:Aspec", "catalog:Cspec", "random[dim=4,seed=7]",
+               "random[dim=4,seed=3]", "file:@DIR/good.mat"]
+_BAD_SPECS = ["catalog:W[q=1]", "catalog:W[qq=2]", "catalog:Nope", "catalog:W[q",
+              "catalog:W[q]", "random[dim=4]", "random[seed=1]", "random[dim=x,seed=1]",
+              "random[dim=2,seed=1,k=3]", "random[dim=-1,seed=1]", "random[dim=0,seed=2]",
+              "random[dim=1,seed=3]", "random[dim=3,seed=4]", "file:@DIR/bad.mat",
+              "file:@DIR/missing.mat", "nonsense"]
+# three well-formed specs to every malformed one
+_SPECS = st.sampled_from(_GOOD_SPECS * 3 + _BAD_SPECS)
+_SCALES = st.sampled_from(["2", "-1/3", "i", "q", "0", "1/0", "(", ""])
+_WORDS = st.sampled_from(["", "t", "dsym1:i#", "dsym2:+-", "dsym3:++", "t,dsym1:#i",
+                          "dsym1:zz", "bogus"])
+
+
+@st.composite
+def _argv(draw):
+    cmd = draw(st.sampled_from(["verify", "solve-z", "orbit", "catalog"]))
+    if cmd == "catalog":
+        action = draw(st.sampled_from(["list", "show"]))
+        name = draw(st.sampled_from([[], ["W"], ["Aspec"], ["Nope"]]))
+        return ["catalog", action] + (name if action == "show" else [])
+    if cmd == "solve-z":
+        return ["solve-z", "--X", draw(_SPECS)] + draw(st.sampled_from([[], ["--emit-ybe"]]))
+    if cmd == "orbit":
+        argv = ["orbit"]
+        for role in "WXZ":
+            argv += ["--" + role, draw(_SPECS)]
+        for name in draw(st.lists(st.sampled_from(["omega", "xi", "zeta"]), max_size=2)):
+            argv += ["--" + name, draw(_SCALES)]
+        argv += ["--word", draw(_WORDS)]
+        return argv + draw(st.sampled_from([[], ["--check"]]))
+    system = draw(st.sampled_from(sorted(_ROLES)))
+    roles = list(_ROLES[system])
+    change = draw(st.sampled_from(["", "", "drop", "unknown"]))
+    if change == "drop":
+        roles.pop()
+    elif change == "unknown":
+        roles.append("Q" if "Q" not in roles else "Y")
+    argv = ["verify", system]
+    for role in roles:
+        argv += ["--" + role, draw(_SPECS)]
+    if draw(st.booleans()):
+        argv += ["--samples", str(draw(st.integers(-1, 3)))]
+    return argv + draw(st.sampled_from([[], ["--symbolic"], ["--json"]]))
+
+
+@pytest.fixture(scope="module")
+def matrix_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("specs")
+    (path / "good.mat").write_text("dim 4\n" + "\n".join(
+        ", ".join("1" if i == j else "0" for j in range(4)) for i in range(4)) + "\n")
+    (path / "bad.mat").write_text("dim 4\n1, 2\n")
+    return str(path)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(argv=_argv())
+def test_generated_argv_keep_the_exit_contract(matrix_dir, argv):
+    argv = [a.replace("@DIR", matrix_dir) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    assert "(0 samples)" not in out.getvalue(), argv
+    assert code != 2 or err.getvalue(), argv

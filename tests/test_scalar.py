@@ -9,7 +9,7 @@ from oracles import random_gaussian, random_poly, random_nonzero_poly
 from ybx.errors import DenominatorVanishes, DivisionByZero
 from ybx.exprparse import parse_scalar
 from ybx.scalar import (GaussianRational, Polynomial, RationalFunction,
-                        invert, is_zero, lowest, scalar_str, substitute)
+                        invert, is_zero, lowest, scalar_str, substitute, var_id)
 
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 gaussians = st.builds(GaussianRational, fracs, fracs)
@@ -115,7 +115,7 @@ def test_laurent_identities():
 
 def test_gaussian_inverse():
     assert invert(GaussianRational(2, 1)) == GaussianRational(Fraction(2, 5), Fraction(-1, 5))
-    assert invert(q()) == Polynomial.variable("q", -1)
+    assert invert(q()) == Polynomial.from_vid(var_id("q"), -1)
     with pytest.raises(DivisionByZero):
         invert(GaussianRational(0))
     with pytest.raises(DivisionByZero):

@@ -15,13 +15,12 @@ I = GaussianRational(0, 1)
 
 def _system_rows(X):
     """The 64x16 linear system of [X,X,Z]=0, for the rank oracle."""
-    N = 2
-    M1 = embed(X, (1, 2), N) * embed(X, (1, 3), N)
-    M2 = embed(X, (1, 3), N) * embed(X, (1, 2), N)
+    M1 = embed(X, (1, 2)) * embed(X, (1, 3))
+    M2 = embed(X, (1, 3)) * embed(X, (1, 2))
     cols = []
     for k in range(4):
         for l in range(4):
-            E = embed(SquareMatrix.unit(4, k, l), (2, 3), N)
+            E = embed(SquareMatrix.unit(4, k, l), (2, 3))
             C = M1 * E - E * M2
             cols.append([C.rows[i][j] for i in range(8) for j in range(8)])
     return [[cols[u][e] for u in range(16)] for e in range(64)]

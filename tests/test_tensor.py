@@ -26,7 +26,7 @@ P = flip_matrix(2)
 # embeddings
 
 def test_embed_flip_swaps_legs():
-    E = embed(P, (1, 2), 2)
+    E = embed(P, (1, 2))
     # E maps basis (j1,j2,j3) -> (j2,j1,j3)
     for j1 in range(2):
         for j2 in range(2):
@@ -39,20 +39,20 @@ def test_embed_flip_swaps_legs():
 
 
 def test_embed_identity_is_identity():
-    assert embed(SquareMatrix.identity(4), (1, 3), 2) == SquareMatrix.identity(8)
+    assert embed(SquareMatrix.identity(4), (1, 3)) == SquareMatrix.identity(8)
 
 
 def test_embed_matches_oracle_on_W():
     W = instantiate("W", {"q": 2, "s": 3, "t": "q"})
     for legs in ((1, 2), (1, 3), (2, 3), (2, 1), (3, 1)):
-        assert embed(W, legs, 2) == embed_oracle(W, legs, 2)
+        assert embed(W, legs) == embed_oracle(W, legs, 2)
 
 
 def test_embed_dimension_errors():
     with pytest.raises(DimensionMismatch):
-        embed(SquareMatrix.identity(3), (1, 2), 2)
+        embed(SquareMatrix.identity(3), (1, 2))
     with pytest.raises(DimensionMismatch):
-        embed(SquareMatrix.identity(4), (2, 2), 2)
+        embed(SquareMatrix.identity(4), (2, 2))
 
 
 def test_disjoint_legs_commute():
@@ -60,7 +60,7 @@ def test_disjoint_legs_commute():
     for seed in range(5):
         A = random_matrix(4, 50 + seed)
         B = random_matrix(2, 60 + seed)
-        A12 = embed(A, (1, 2), 2)
+        A12 = embed(A, (1, 2))
         B3 = kron(kron(SquareMatrix.identity(2), SquareMatrix.identity(2)), B)
         assert A12 * B3 == B3 * A12
 
@@ -113,8 +113,7 @@ def test_colour_lift_of_constant_reduces_to_const():
     R = random_matrix(4, 77)
     S = random_matrix(4, 78)
     T = random_matrix(4, 79)
-    lifted = ybc_colour(ColourMatrix.constant(R), ColourMatrix.constant(S),
-                        ColourMatrix.constant(T))
+    lifted = ybc_colour(ColourMatrix(R), ColourMatrix(S), ColourMatrix(T))
     assert lifted == ybc_const(R, S, T)
 
 
