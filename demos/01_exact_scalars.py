@@ -6,7 +6,7 @@ Everything in this package computes over an exact tower; there is no
 floating point anywhere.  This demo walks the three levels.
 """
 
-from ybx.exprparse import parse, parse_scalar
+from ybx.exprparse import parse_scalar
 from ybx.scalar import (GaussianRational, Polynomial, invert, scalar_str,
                         substitute)
 
@@ -36,6 +36,6 @@ print("%r parses to %s and back to an equal value: %s"
 
 # Parse errors carry byte offsets and the expected-token set.
 try:
-    parse("q^s")
+    parse_scalar("q^s")
 except Exception as exc:
     print("q^s ->", type(exc).__name__, "at offset", exc.offset)

@@ -35,49 +35,41 @@ class UsageError(YbxError):
     pass
 
 
+def _pairs(body, text, shape):
+    """{NAME: VALUE} of the comma-separated NAME=VALUE items of ``body``,
+    the bracketed list of spec ``text``; ``shape`` shows the expected item
+    in the error message.  Each name may be given once."""
+    pairs = {}
+    for item in body.split(","):
+        if "=" not in item:
+            raise UsageError("expected %s in %r" % (shape, text))
+        key, val = (part.strip() for part in item.split("=", 1))
+        if key in pairs:
+            raise UsageError("%s given twice in %r" % (key, text))
+        pairs[key] = val
+    return pairs
+
+
 class _MatrixSpec:
     def __init__(self, text):
-        self.kind = None
-        self.name = None
-        self.pins = {}
-        self.path = None
-        self.dim = None
-        self.seed = None
-        self._parse(text)
-
-    def _parse(self, text):
         if text.startswith("catalog:"):
             self.kind = "catalog"
-            body = text[len("catalog:"):]
-            if "[" in body:
-                if not body.endswith("]"):
-                    raise UsageError("malformed catalog spec %r" % text)
-                self.name, args = body[:-1].split("[", 1)
-                if args:
-                    for item in args.split(","):
-                        if "=" not in item:
-                            raise UsageError("expected param=expr in %r" % text)
-                        key, val = item.split("=", 1)
-                        self.pins[key.strip()] = val.strip()
-            else:
-                self.name = body
+            self.name, bracket, args = text[len("catalog:"):].partition("[")
+            if bracket and not args.endswith("]"):
+                raise UsageError("malformed catalog spec %r" % text)
+            self.pins = _pairs(args[:-1], text, "param=expr") if args[:-1] else {}
         elif text.startswith("file:"):
             self.kind = "file"
             self.path = text[len("file:"):]
         elif text.startswith("random[") and text.endswith("]"):
             self.kind = "random"
-            for item in text[len("random["):-1].split(","):
-                if "=" not in item:
-                    raise UsageError("expected dim=/seed= in %r" % text)
-                key, val = item.split("=", 1)
-                if key.strip() == "dim":
-                    self.dim = int(val)
-                elif key.strip() == "seed":
-                    self.seed = int(val)
-                else:
+            pairs = _pairs(text[len("random["):-1], text, "dim=/seed=")
+            for key in pairs:
+                if key not in ("dim", "seed"):
                     raise UsageError("unknown random parameter %r" % key)
-            if self.dim is None or self.seed is None:
+            if "dim" not in pairs or "seed" not in pairs:
                 raise UsageError("random spec needs dim and seed: %r" % text)
+            self.dim, self.seed = int(pairs["dim"]), int(pairs["seed"])
             if self.dim < 1:
                 raise UsageError("random dim must be at least 1: %r" % text)
             if self.dim > MAX_RANDOM_DIM:
@@ -86,8 +78,6 @@ class _MatrixSpec:
             raise UsageError("unrecognised matrix spec %r" % text)
 
     def free_params(self):
-        if self.kind != "catalog":
-            return []
         return [p for p in catalog.get(self.name).params if p not in self.pins]
 
     def resolve(self, rng, symbolic):
@@ -116,27 +106,34 @@ class _MatrixSpec:
         return matrix, desc
 
 
-def _take_role_args(tokens, valid_roles):
-    """Extract --NAME VALUE and --NAME=VALUE pairs (raw strings) from leftover
-    argv tokens; argparse would take a value such as -1/3 for an option."""
-    roles = {}
+def _take_role_args(tokens, names, required):
+    """{NAME: VALUE} (raw strings) of the --NAME VALUE and --NAME=VALUE
+    pairs in leftover argv tokens; argparse would take a value such as
+    -1/3 for an option.  Each name may be given once, and every name in
+    ``required`` must be given."""
+    values = {}
     k = 0
     while k < len(tokens):
         tok = tokens[k]
         if not tok.startswith("--"):
             raise UsageError("unexpected argument %r" % tok)
-        role, eq, value = tok[2:].partition("=")
-        if role not in valid_roles:
+        name, eq, value = tok[2:].partition("=")
+        if name not in names:
             raise UsageError("unknown role %r (expected one of %s)"
-                             % (role, ", ".join(valid_roles)))
+                             % (name, ", ".join(names)))
+        if name in values:
+            raise UsageError("--%s given twice" % name)
         if not eq:
             if k + 1 >= len(tokens):
-                raise UsageError("missing value after --%s" % role)
+                raise UsageError("missing value after --%s" % name)
             k += 1
             value = tokens[k]
-        roles[role] = value
+        values[name] = value
         k += 1
-    return roles
+    for name in required:
+        if name not in values:
+            raise UsageError("role --%s not supplied" % name)
+    return values
 
 
 def _constant_matrix(role, spec):
@@ -173,11 +170,8 @@ def cmd_verify(args, extra):
     if args.samples < 1:
         raise UsageError("--samples must be at least 1, got %d" % args.samples)
     sysdef = systems.system(args.system)
-    roles = {role: _MatrixSpec(text)
-             for role, text in _take_role_args(extra, sysdef.roles).items()}
-    for role in sysdef.roles:
-        if role not in roles:
-            raise UsageError("role --%s not supplied" % role)
+    roles = {role: _MatrixSpec(text) for role, text
+             in _take_role_args(extra, sysdef.roles, sysdef.roles).items()}
     sampled = any(spec.kind == "catalog" and spec.free_params()
                   for spec in roles.values())
     runs = 1 if (args.symbolic or not sampled) else args.samples
@@ -221,9 +215,8 @@ def render_solve_text(data) -> str:
 
 
 def cmd_solve_z(args, extra):
-    if extra:
-        raise UsageError("unexpected arguments: %s" % " ".join(extra))
-    matrix, desc = _constant_matrix("X", _MatrixSpec(args.X))
+    text = _take_role_args(extra, ("X",), ("X",))["X"]
+    matrix, desc = _constant_matrix("X", _MatrixSpec(text))
     space = solver.solve_z_linear(matrix)   # SymbolicInput -> exit 2
     data = {"command": "solve-z", "X": desc, "dimension": space.dim,
             "rank": space.rank,
@@ -243,20 +236,14 @@ def cmd_solve_z(args, extra):
 # orbit
 
 def cmd_orbit(args, extra):
-    values = _take_role_args(extra, ("W", "X", "Z", "T", "S", "omega", "xi", "zeta"))
-    roles = {role: _MatrixSpec(text) for role, text in values.items()
-             if role in ("W", "X", "Z", "T", "S")}
-    for role in ("W", "X", "Z"):
-        if role not in roles:
-            raise UsageError("role --%s not supplied" % role)
-    mats = {role: _constant_matrix(role, roles[role])[0]
-            for role in ("W", "X", "Z", "T", "S") if role in roles}
-    def scale(name):
-        text = values.get(name)
-        return exprparse.parse_scalar(text) if text else None
-    spec = solver.TransformSpec(
-        t_mat=mats.get("T"), s_mat=mats.get("S"), omega=scale("omega"), xi=scale("xi"),
-        zeta=scale("zeta"), word=solver.parse_word(args.word or ""))
+    values = _take_role_args(
+        extra, ("W", "X", "Z", "T", "S", "omega", "xi", "zeta", "word"), ("W", "X", "Z"))
+    mats = {role: _constant_matrix(role, _MatrixSpec(values[role]))[0]
+            for role in ("W", "X", "Z", "T", "S") if role in values}
+    scales = {name: exprparse.parse_scalar(values[name])
+              for name in ("omega", "xi", "zeta") if name in values}
+    spec = solver.TransformSpec(t_mat=mats.get("T"), s_mat=mats.get("S"),
+                                word=solver.parse_word(values.get("word", "")), **scales)
     W, X, Z = solver.apply_transform((mats["W"], mats["X"], mats["Z"]), spec)
     for label, mat in (("W", W), ("X", X), ("Z", Z)):
         print("%s:" % label)
@@ -329,13 +316,11 @@ def _build_parser():
     p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("solve-z", help="nullspace of the linear Z equation")
-    p.add_argument("--X", dest="X", required=True)
     p.add_argument("--emit-ybe", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(run=cmd_solve_z)
 
     p = sub.add_parser("orbit", help="apply a symmetry transformation")
-    p.add_argument("--word", default="")
     p.add_argument("--check", action="store_true")
     p.set_defaults(run=cmd_orbit)
 

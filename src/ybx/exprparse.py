@@ -1,4 +1,4 @@
-"""Recursive-descent parser for entry expressions.
+"""Recursive-descent parser for entry expressions, evaluated in one pass.
 
 Grammar (whitespace insignificant)::
 
@@ -9,10 +9,10 @@ Grammar (whitespace insignificant)::
 
 `i` is the imaginary unit and is reserved; identifiers are a letter
 followed by letters, digits or underscores.  Exponents must be integer
-literals.  Implicit multiplication (`2q`) is not supported.
+literals.  Implicit multiplication (`2q`) is not supported.  Parentheses
+and unary minus together nest at most MAX_DEPTH levels deep.
 
-ASTs are plain tuples: ('num', int), ('i',), ('var', name),
-('add'|'sub'|'mul'|'div', lhs, rhs), ('neg', x), ('pow', base, int).
+Each rule returns the exact scalar value of the text it consumed.
 """
 
 from __future__ import annotations
@@ -23,50 +23,48 @@ from .errors import DivisionByZero, ExprSyntaxError, NonIntegerExponent
 from .scalar import GaussianRational, Polynomial, is_zero, lowest, power
 
 _ATOM_EXPECTED = ("number", "identifier", "'i'", "'('", "'-'")
+MAX_DEPTH = 100
 
 
-class _Scanner:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-        self.tokens = []
-        self._scan()
-
-    def _scan(self):
-        text, n = self.text, len(self.text)
-        i = 0
-        while i < n:
-            ch = text[i]
-            if ch in " \t\r\n":
-                i += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < n and text[j].isdigit():
-                    j += 1
-                self.tokens.append(("int", text[i:j], i))
-                i = j
-                continue
-            if ch.isalpha():
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                word = text[i:j]
-                self.tokens.append(("i", word, i) if word == "i" else ("ident", word, i))
-                i = j
-                continue
-            if ch in "+-*/^()":
-                self.tokens.append((ch, ch, i))
-                i += 1
-                continue
-            raise ExprSyntaxError("unexpected character %r" % ch, i, _ATOM_EXPECTED)
-        self.tokens.append(("end", "", n))
+def _tokens(text):
+    """(kind, text, offset) triples, closed by an 'end' token."""
+    tokens = []
+    n = len(text)
+    i = 0
+    while i < n:
+        ch = text[i]
+        if ch in " \t\r\n":
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(("int", text[i:j], i))
+            i = j
+            continue
+        if ch.isalpha():
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            tokens.append(("i", word, i) if word == "i" else ("ident", word, i))
+            i = j
+            continue
+        if ch in "+-*/^()":
+            tokens.append((ch, ch, i))
+            i += 1
+            continue
+        raise ExprSyntaxError("unexpected character %r" % ch, i, _ATOM_EXPECTED)
+    tokens.append(("end", "", n))
+    return tokens
 
 
 class _Parser:
     def __init__(self, text):
-        self.toks = _Scanner(text).tokens
+        self.toks = _tokens(text)
         self.k = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.k]
@@ -84,31 +82,36 @@ class _Parser:
         return self.take()
 
     def parse(self):
-        node = self.expr()
+        value = self.expr()
         tok = self.peek()
         if tok[0] != "end":
             raise ExprSyntaxError("unexpected %r" % tok[1], tok[2],
                                   ("'+'", "'-'", "'*'", "'/'", "end of input"))
-        return node
+        return value
 
     def expr(self):
-        node = self.term()
+        value = self.term()
         while self.peek()[0] in ("+", "-"):
             op = self.take()[0]
             rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
+            value = value + rhs if op == "+" else value - rhs
+        return value
 
     def term(self):
-        node = self.factor()
+        value = self.factor()
         while self.peek()[0] in ("*", "/"):
             op = self.take()[0]
             rhs = self.factor()
-            node = ("mul" if op == "*" else "div", node, rhs)
-        return node
+            if op == "*":
+                value = value * rhs
+            elif is_zero(rhs):
+                raise DivisionByZero("division by zero")
+            else:
+                value = value / rhs
+        return value
 
     def factor(self):
-        node = self.atom()
+        value = self.atom()
         if self.peek()[0] == "^":
             self.take()
             sign = 1
@@ -121,71 +124,39 @@ class _Parser:
                     "exponent must be an integer literal, found %r" % (tok[1] or "end of input"),
                     tok[2], ("integer",))
             self.take()
-            node = ("pow", node, sign * int(tok[1]))
-        return node
+            value = power(value, sign * int(tok[1]))
+        return value
 
     def atom(self):
         tok = self.peek()
         kind = tok[0]
         if kind == "int":
             self.take()
-            return ("num", int(tok[1]))
+            return GaussianRational(Fraction(int(tok[1])))
         if kind == "i":
             self.take()
-            return ("i",)
+            return GaussianRational(0, 1)
         if kind == "ident":
             self.take()
-            return ("var", tok[1])
-        if kind == "(":
+            return Polynomial.variable(tok[1])
+        if kind in ("(", "-"):
+            if self.depth == MAX_DEPTH:
+                raise ExprSyntaxError("expression nested deeper than %d" % MAX_DEPTH, tok[2])
             self.take()
-            node = self.expr()
-            self.expect(")")
-            return node
-        if kind == "-":
-            self.take()
-            return ("neg", self.factor())
+            self.depth += 1
+            if kind == "(":
+                value = self.expr()
+                self.expect(")")
+            else:
+                value = -self.factor()
+            self.depth -= 1
+            return value
         raise ExprSyntaxError("unexpected %r" % (tok[1] or "end of input"),
                               tok[2], _ATOM_EXPECTED)
 
 
-def parse(text: str):
-    """Parse ``text`` into an AST; raises ExprSyntaxError with the byte
-    offset and the expected-token set on malformed input."""
-    return _Parser(text).parse()
-
-
-def eval_ast(node):
-    """Exact scalar value of an AST, at the lowest sufficient tower level."""
-    return lowest(_eval(node))
-
-
-def _eval(node):
-    kind = node[0]
-    if kind == "num":
-        return GaussianRational(Fraction(node[1]))
-    if kind == "i":
-        return GaussianRational(0, 1)
-    if kind == "var":
-        return Polynomial.variable(node[1])
-    if kind == "neg":
-        return -_eval(node[1])
-    if kind == "add":
-        return _eval(node[1]) + _eval(node[2])
-    if kind == "sub":
-        return _eval(node[1]) - _eval(node[2])
-    if kind == "mul":
-        return _eval(node[1]) * _eval(node[2])
-    if kind == "div":
-        num = _eval(node[1])
-        den = _eval(node[2])
-        if is_zero(den):
-            raise DivisionByZero("division by zero")
-        return num / den
-    if kind == "pow":
-        return power(_eval(node[1]), node[2])
-    raise ValueError("unknown AST node %r" % (node,))
-
-
 def parse_scalar(text: str):
-    """parse + eval in one step."""
-    return eval_ast(parse(text))
+    """Exact scalar value of ``text``, at the lowest sufficient tower level;
+    raises ExprSyntaxError with the byte offset and the expected-token set
+    on malformed input."""
+    return lowest(_Parser(text).parse())

@@ -340,7 +340,7 @@ class Polynomial(Scalar):
         return lowest(out)
 
     def as_rf(self):
-        return RationalFunction(self, _ONE_POLY, reduce=False)
+        return RationalFunction(self, _ONE_POLY)
 
     __hash__ = None
 
@@ -357,15 +357,14 @@ class RationalFunction(Scalar):
     __slots__ = ("num", "den")
     _LEVEL = 2
 
-    def __init__(self, num, den, reduce=True):
+    def __init__(self, num, den):
         if den.is_zero():
             raise DivisionByZero("zero denominator")
-        if reduce:
-            c = _content(den)
-            if c != 1 and c != 0:
-                inv = GaussianRational(1 / c)
-                num = num.scale(inv)
-                den = den.scale(inv)
+        c = _content(den)
+        if c != 1:
+            inv = GaussianRational(1 / c)
+            num = num.scale(inv)
+            den = den.scale(inv)
         self.num = num
         self.den = den
 
@@ -379,7 +378,7 @@ class RationalFunction(Scalar):
         )
 
     def _neg(self):
-        return RationalFunction(self.num._neg(), self.den, reduce=False)
+        return RationalFunction(self.num._neg(), self.den)
 
     def _mul(self, o):
         return RationalFunction(self.num._mul(o.num), self.den._mul(o.den))

@@ -78,8 +78,9 @@ def solve_z_linear(X: SquareMatrix) -> SolutionSpace:
             "solve_z_linear needs numeric entries; substitute parameters first")
     n2 = X.dim
     N = _local_dim(X)
-    M1 = embed(X, (1, 2)) * embed(X, (1, 3))
-    M2 = embed(X, (1, 3)) * embed(X, (1, 2))
+    X12, X13 = embed(X, (1, 2)), embed(X, (1, 3))
+    M1 = X12 * X13
+    M2 = X13 * X12
     # Row (r, c) of the system is entry (r, c) of M1 Z23 - Z23 M2.  With
     # r = (a, x) and c = (b, y) split at leg 1, that entry is
     # sum_k M1[r][b, k] Z[k, y] - sum_l Z[x, l] M2[a, l][c].

@@ -18,7 +18,7 @@ from oracles import bareiss_rank, ybc_loops
 from test_exprparse import MALFORMED
 from ybx import catalog, solver, systems
 from ybx.errors import ExprSyntaxError, NotInvertible
-from ybx.exprparse import parse, parse_scalar
+from ybx.exprparse import parse_scalar
 from ybx.scalar import GaussianRational, invert, scalar_str
 from ybx.tensor import (ColourMatrix, SquareMatrix, flip_matrix,
                         matrix_from_text, matrix_to_text, random_matrix,
@@ -457,7 +457,7 @@ def test_criterion_8_formats_and_errors():
     assert len(MALFORMED) >= 50
     for bad in MALFORMED:
         with pytest.raises(ExprSyntaxError) as err:
-            parse(bad)
+            parse_scalar(bad)
         assert isinstance(err.value.offset, int)
         assert 0 <= err.value.offset <= len(bad)
     _report(8, "catalog export/parse/re-export is byte-identical; %d malformed "

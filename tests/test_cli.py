@@ -101,16 +101,45 @@ def test_verify_usage_errors(capsys):
     (["verify", "ybe", "--R", "catalog:W[qq=2,t=q]", "--samples", "2"],
      "unknown parameters"),
     (["verify", "ybe", "--R", "catalog:W[q=1]"], "q^2 != 1"),
+    (["verify", "ybe", "--R", "catalog:W[q=2,q=3,t=q]", "--samples", "1"],
+     "q given twice in 'catalog:W[q=2,q=3,t=q]'"),
+    (["verify", "ybe", "--R", "random[dim=4,seed=7]", "--R", "catalog:P"],
+     "--R given twice"),
+    (["solve-z", "--X", "random[dim=4,seed=1]", "--X", "catalog:P"], "--X given twice"),
+    (["orbit", "--W", "catalog:P", "--X", "catalog:I", "--Z", "catalog:P",
+      "--word", "t", "--word", "dsym3:++"], "--word given twice"),
+    (["orbit", "--W", "catalog:P", "--X", "catalog:I", "--Z", "catalog:P",
+      "--xi", "1", "--xi", "2"], "--xi given twice"),
+    (["verify", "ybe", "--R", "random[dim=4,seed=7,seed=1]"],
+     "seed given twice in 'random[dim=4,seed=7,seed=1]'"),
+    (["orbit", "--W", "catalog:P", "--X", "catalog:I", "--Z", "catalog:P", "--xi=",
+      "--check"], "end of input"),
 ], ids=["samples-0", "dim-0", "dim-3", "mixed-dims", "3x3-T",
         "const-in-colour", "const-in-family", "colour-to-solve-z", "colour-to-orbit",
         "non-square-triple", "orbit-mixed-dims", "orbit-mixed-dims-check",
-        "orbit-mixed-dims-omega", "unknown-pin-sampled", "pins-break-constraint"])
+        "orbit-mixed-dims-omega", "unknown-pin-sampled", "pins-break-constraint",
+        "repeated-pin", "repeated-role", "repeated-solve-z-X", "repeated-word",
+        "repeated-scale", "repeated-random-key", "empty-scale"])
 def test_specification_errors_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
     assert message in err
+
+
+@pytest.mark.parametrize("form", ["pin", "file", "scale"])
+def test_deep_nesting_is_a_specification_error(capsys, tmp_path, form):
+    deep = "(" * 3000 + "2" + ")" * 3000
+    path = tmp_path / "deep.mat"
+    path.write_text("dim 2\n%s, 0\n0, 1\n" % deep)
+    base = ["--W", "catalog:P", "--X", "catalog:I", "--Z", "catalog:P"]
+    argv = {"pin": ["verify", "ybe", "--R", "catalog:W[q=%s,t=q]" % deep, "--samples", "1"],
+            "file": ["verify", "ybe", "--R", "file:%s" % path],
+            "scale": ["orbit"] + base + ["--xi", deep]}[form]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: expression nested deeper than 100 at offset 100")
 
 
 @pytest.mark.parametrize("dim", [65, 10**12])
@@ -274,6 +303,9 @@ _BAD_SPECS = ["catalog:W[q=1]", "catalog:W[qq=2]", "catalog:Nope", "catalog:W[q"
               "random[dim=2,seed=1,k=3]", "random[dim=-1,seed=1]", "random[dim=0,seed=2]",
               "random[dim=1,seed=3]", "random[dim=3,seed=4]", "file:@DIR/bad.mat",
               "file:@DIR/missing.mat", "nonsense"]
+# specs that repeat a catalog pin or a random key, with the repeated name
+_REPEATED_SPECS = [("catalog:W[q=2,q=3,t=q]", "q"), ("catalog:X1[a=1,b=2,a=1]", "a"),
+                   ("random[dim=4,seed=7,seed=1]", "seed"), ("random[dim=4,dim=4,seed=1]", "dim")]
 # three well-formed specs to every malformed one
 _SPECS = st.sampled_from(_GOOD_SPECS * 3 + _BAD_SPECS)
 _SCALES = st.sampled_from(["2", "-1/3", "i", "q", "0", "1/0", "(", ""])
@@ -281,36 +313,77 @@ _WORDS = st.sampled_from(["", "t", "dsym1:i#", "dsym2:+-", "dsym3:++", "t,dsym1:
                           "dsym1:zz", "bogus"])
 
 
+def _first_repeat(pairs, names, first_spec):
+    """Message fragment for the first fault of a command line whose options
+    are ``pairs`` (of which ``names`` are known) and whose first parsed spec
+    is ``first_spec``, when that fault is a repeated name; None otherwise.
+    Every option is read before any spec is parsed."""
+    seen = set()
+    for name, _ in pairs:
+        if name not in names:
+            return None
+        if name in seen:
+            return "--%s given twice" % name
+        seen.add(name)
+    for spec, name in _REPEATED_SPECS:
+        if first_spec == spec:
+            return "%s given twice in %r" % (name, spec)
+    return None
+
+
 @st.composite
 def _argv(draw):
+    """(argv, fragment): a command line and, when its first fault is a
+    repeated role, scale, --word, catalog pin or random key, the fragment
+    its error message must contain."""
     cmd = draw(st.sampled_from(["verify", "solve-z", "orbit", "catalog"]))
     if cmd == "catalog":
         action = draw(st.sampled_from(["list", "show"]))
         name = draw(st.sampled_from([[], ["W"], ["Aspec"], ["Nope"]]))
-        return ["catalog", action] + (name if action == "show" else [])
+        return ["catalog", action] + (name if action == "show" else []), None
+    repeat = draw(st.sampled_from([None, None, "option", "spec"]))
+    first_spec = draw(st.sampled_from([s for s, _ in _REPEATED_SPECS]) if repeat == "spec"
+                      else _SPECS)
     if cmd == "solve-z":
-        return ["solve-z", "--X", draw(_SPECS)] + draw(st.sampled_from([[], ["--emit-ybe"]]))
-    if cmd == "orbit":
-        argv = ["orbit"]
-        for role in "WXZ":
-            argv += ["--" + role, draw(_SPECS)]
+        argv, names = ["solve-z"], ("X",)
+        pairs = [("X", first_spec)]
+        if repeat == "option":
+            pairs.append(("X", draw(_SPECS)))
+        flags = draw(st.sampled_from([[], ["--emit-ybe"]]))
+    elif cmd == "orbit":
+        argv, names = ["orbit"], ("W", "X", "Z", "omega", "xi", "zeta", "word")
+        pairs = [("W", first_spec)] + [(role, draw(_SPECS)) for role in "XZ"]
+        # two scales drawn independently may repeat a name
         for name in draw(st.lists(st.sampled_from(["omega", "xi", "zeta"]), max_size=2)):
-            argv += ["--" + name, draw(_SCALES)]
-        argv += ["--word", draw(_WORDS)]
-        return argv + draw(st.sampled_from([[], ["--check"]]))
-    system = draw(st.sampled_from(sorted(_ROLES)))
-    roles = list(_ROLES[system])
-    change = draw(st.sampled_from(["", "", "drop", "unknown"]))
-    if change == "drop":
-        roles.pop()
-    elif change == "unknown":
-        roles.append("Q" if "Q" not in roles else "Y")
-    argv = ["verify", system]
-    for role in roles:
-        argv += ["--" + role, draw(_SPECS)]
-    if draw(st.booleans()):
-        argv += ["--samples", str(draw(st.integers(-1, 3)))]
-    return argv + draw(st.sampled_from([[], ["--symbolic"], ["--json"]]))
+            pairs.append((name, draw(_SCALES)))
+        pairs.append(("word", draw(_WORDS)))
+        if repeat == "option":
+            pairs.append(draw(st.sampled_from([("W", "catalog:P"), ("xi", "2"),
+                                               ("word", "t")])))
+        flags = draw(st.sampled_from([[], ["--check"]]))
+    else:
+        system = draw(st.sampled_from(sorted(_ROLES)))
+        argv, names = ["verify", system], _ROLES[system]
+        roles = list(names)
+        change = draw(st.sampled_from(["", "", "drop", "unknown"]))
+        if change == "drop":
+            roles.pop()
+        elif change == "unknown":
+            roles.append("Q" if "Q" not in roles else "Y")
+        pairs = [(role, first_spec if k == 0 else draw(_SPECS))
+                 for k, role in enumerate(roles)]
+        if repeat == "option" and roles:
+            pairs.insert(1, (roles[0], draw(_SPECS)))
+        flags = []
+        if draw(st.booleans()):
+            flags += ["--samples", str(draw(st.integers(-1, 3)))]
+        flags += draw(st.sampled_from([[], ["--symbolic"], ["--json"]]))
+        if system == "nosuch" or flags[:1] == ["--samples"] and int(flags[1]) < 1:
+            names = ()   # the system name and --samples are checked first
+    fragment = _first_repeat(pairs, names, first_spec if pairs else None)
+    for name, value in pairs:
+        argv += ["--%s" % name, value]
+    return argv + flags, fragment
 
 
 @pytest.fixture(scope="module")
@@ -323,8 +396,9 @@ def matrix_dir(tmp_path_factory):
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
-@given(argv=_argv())
-def test_generated_argv_keep_the_exit_contract(matrix_dir, argv):
+@given(case=_argv())
+def test_generated_argv_keep_the_exit_contract(matrix_dir, case):
+    argv, fragment = case
     argv = [a.replace("@DIR", matrix_dir) for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -333,3 +407,6 @@ def test_generated_argv_keep_the_exit_contract(matrix_dir, argv):
     assert "Traceback" not in err.getvalue(), argv
     assert "(0 samples)" not in out.getvalue(), argv
     assert code != 2 or err.getvalue(), argv
+    if fragment:
+        assert code == 2 and out.getvalue() == "", argv
+        assert fragment in err.getvalue(), argv

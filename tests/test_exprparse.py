@@ -1,8 +1,8 @@
 import pytest
 
 from ybx.errors import DivisionByZero, ExprSyntaxError, NonIntegerExponent
-from ybx.exprparse import parse, parse_scalar
-from ybx.scalar import GaussianRational, Polynomial, RationalFunction
+from ybx.exprparse import MAX_DEPTH, parse_scalar
+from ybx.scalar import GaussianRational, Polynomial, RationalFunction, invert
 
 MALFORMED = [
     "", "(", ")", "((q)", "q)", "(()", "q +", "+ q", "* q", "q *", "q ^",
@@ -15,10 +15,11 @@ MALFORMED = [
 
 
 def test_ast_shapes():
-    assert parse("q - q^-1") == ("sub", ("var", "q"), ("pow", ("var", "q"), -1))
-    assert parse("(1-u/v)") == ("sub", ("num", 1), ("div", ("var", "u"), ("var", "v")))
-    assert parse("-q^2") == ("neg", ("pow", ("var", "q"), 2))
-    assert parse("2*i*a") == ("mul", ("mul", ("num", 2), ("i",)), ("var", "a"))
+    q, u, v, a = (Polynomial.variable(name) for name in "quva")
+    assert parse_scalar("q - q^-1") == q - invert(q)
+    assert parse_scalar("(1-u/v)") == 1 - u / v
+    assert parse_scalar("-q^2") == -(q * q)
+    assert parse_scalar("2*i*a") == GaussianRational(0, 2) * a
 
 
 def test_precedence():
@@ -49,39 +50,52 @@ def test_constants_fold_to_gaussian():
 
 def test_non_integer_exponent():
     with pytest.raises(NonIntegerExponent) as err:
-        parse("q^s")
+        parse_scalar("q^s")
     assert err.value.offset == 2
     assert "integer" in " ".join(err.value.expected)
 
 
 def test_error_offsets_and_expectations():
     with pytest.raises(ExprSyntaxError) as err:
-        parse("q + ")
+        parse_scalar("q + ")
     assert err.value.offset == 4
     assert err.value.expected
     with pytest.raises(ExprSyntaxError) as err:
-        parse("(a+b")
+        parse_scalar("(a+b")
     assert err.value.offset == 4
     with pytest.raises(ExprSyntaxError) as err:
-        parse("a b")
+        parse_scalar("a b")
     assert err.value.offset == 2
 
 
 @pytest.mark.parametrize("text", MALFORMED)
 def test_malformed_inputs_raise_cleanly(text):
     with pytest.raises(ExprSyntaxError) as err:
-        # a handful of these parse but then fail arithmetic: catch only
-        # the grammar layer here
-        parse(text)
+        parse_scalar(text)
     assert isinstance(err.value.offset, int)
     assert 0 <= err.value.offset <= len(text)
 
 
 def test_identifier_rules():
-    assert parse("i2") == ("var", "i2")      # not the imaginary unit
-    assert parse("eps_1") == ("var", "eps_1")
+    assert parse_scalar("i2") == Polynomial.variable("i2")      # not the imaginary unit
+    assert parse_scalar("eps_1") == Polynomial.variable("eps_1")
     assert parse_scalar("i") == GaussianRational(0, 1)
 
 
 def test_whitespace_insignificant():
     assert parse_scalar(" q -\tq ^ -1 ") == parse_scalar("q-q^-1")
+
+
+@pytest.mark.parametrize("opener, closer", [("(", ")"), ("-", ""), ("(-", ")")])
+def test_nesting_is_bounded(opener, closer):
+    """Parentheses and unary minus nest MAX_DEPTH levels and no deeper;
+    the error points at the first opener past the bound."""
+    levels = MAX_DEPTH // len(opener)
+    assert parse_scalar(opener * levels + "2" + closer * levels) == 2
+    deep = opener * (levels + 1) + "2" + closer * (levels + 1)
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_scalar(deep)
+    assert err.value.offset == MAX_DEPTH
+    assert "nested deeper than %d" % MAX_DEPTH in str(err.value)
+    with pytest.raises(ExprSyntaxError):
+        parse_scalar(opener * 3000 + "2" + closer * 3000)
