@@ -1,6 +1,6 @@
 """ybx: exact tools for Yang-Baxter systems in small dimension.
 
-Subpackages:
+Modules:
   scalar    exact arithmetic tower (Gaussian rationals, Laurent
             polynomials, rational functions)
   exprparse entry-expression grammar

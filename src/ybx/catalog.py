@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exprparse
-from .errors import ConstraintViolated, UnknownName
+from .errors import ConstraintViolated, ExprSyntaxError, UnknownName, prefixed
 from .scalar import (GaussianRational, as_scalar, lowest, substitute, var_id)
 from .tensor import COLOURS, ColourMatrix, SquareMatrix
 
@@ -337,7 +337,10 @@ def _resolve_assignment(entry: NamedMatrix, assignment):
             continue
         val = assignment[p]
         if isinstance(val, str):
-            val = exprparse.parse_scalar(val)
+            try:
+                val = exprparse.parse_scalar(val)
+            except ExprSyntaxError as exc:
+                raise prefixed(exc, "pin %s" % p)
         else:
             val = as_scalar(val)
         resolved[p] = lowest(substitute(val, resolved)) if resolved else val

@@ -1,10 +1,11 @@
-"""Command-line front end.
+"""The `ybx` command line: exact tools for Yang-Baxter systems.
 
-    ybx verify SYSTEM --ROLE SPEC ... [--samples N] [--symbolic] [--json]
+    ybx verify SYSTEM --ROLE SPEC ... [--samples N] [--seed K] [--symbolic] [--json]
     ybx solve-z --X SPEC [--emit-ybe] [--json]
     ybx orbit --W SPEC --X SPEC --Z SPEC [--word WORD] [--T SPEC --S SPEC]
               [--omega E --xi E --zeta E] [--check]
     ybx catalog list | show NAME | export --dir DIR
+    ybx -h/--help
 
 Matrix specs: ``catalog:NAME[param=expr,...]``, ``file:PATH`` or
 ``random[dim=n,seed=k]``.  Exit codes: 0 success, 1 mathematical failure,
@@ -13,18 +14,18 @@ Matrix specs: ``catalog:NAME[param=expr,...]``, ``file:PATH`` or
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import random
 import sys
 
 from . import catalog, solver, systems
-from .errors import NotInvertible, RoleKindMismatch, YbxError
+from .errors import ExprSyntaxError, NotInvertible, RoleKindMismatch, YbxError, prefixed
 from .scalar import scalar_str
 from .tensor import SquareMatrix, matrix_from_text, matrix_to_text, random_matrix
 from . import exprparse
 
+DEFAULT_SAMPLES = 10
 DEFAULT_SEED = 20211997
 # Far above any dim whose commutator finishes quickly; a typo such as
 # dim=10**12 must not allocate dim^2 cells.
@@ -106,11 +107,19 @@ class _MatrixSpec:
         return matrix, desc
 
 
-def _take_role_args(tokens, names, required):
-    """{NAME: VALUE} (raw strings) of the --NAME VALUE and --NAME=VALUE
-    pairs in leftover argv tokens; argparse would take a value such as
-    -1/3 for an option.  Each name may be given once, and every name in
-    ``required`` must be given."""
+def _positional(tokens, missing):
+    """(positional, the rest); positionals come before every option."""
+    if not tokens or tokens[0].startswith("--"):
+        raise UsageError(missing + (", found %s" % tokens[0] if tokens else ""))
+    return tokens[0], tokens[1:]
+
+
+def _options(tokens, names, flags=(), required=()):
+    """{NAME: VALUE} of a command's --NAME VALUE and --NAME=VALUE tokens,
+    with True for each bare --FLAG in ``flags``.  A value is the next
+    token whatever it looks like, so --xi -1/3 works.  Only exact names
+    are known, each may be given once, and every name in ``required``
+    must be given."""
     values = {}
     k = 0
     while k < len(tokens):
@@ -118,12 +127,16 @@ def _take_role_args(tokens, names, required):
         if not tok.startswith("--"):
             raise UsageError("unexpected argument %r" % tok)
         name, eq, value = tok[2:].partition("=")
-        if name not in names:
-            raise UsageError("unknown role %r (expected one of %s)"
-                             % (name, ", ".join(names)))
+        if name not in names and name not in flags:
+            raise UsageError("unknown option --%s (expected %s)"
+                             % (name, ", ".join("--" + n for n in names + flags) or "no option"))
         if name in values:
             raise UsageError("--%s given twice" % name)
-        if not eq:
+        if name in flags:
+            if eq:
+                raise UsageError("--%s takes no value" % name)
+            value = True
+        elif not eq:
             if k + 1 >= len(tokens):
                 raise UsageError("missing value after --%s" % name)
             k += 1
@@ -136,9 +149,25 @@ def _take_role_args(tokens, names, required):
     return values
 
 
+def _int_option(values, name, default):
+    try:
+        return int(values.get(name, default))
+    except ValueError:
+        raise UsageError("--%s needs an integer, got %r" % (name, values[name]))
+
+
+def _named(option, call, *args):
+    """call(*args), naming ``option`` in a syntax or file-format error of
+    the text it was given."""
+    try:
+        return call(*args)
+    except (ExprSyntaxError, ValueError) as exc:
+        raise prefixed(exc, option)
+
+
 def _constant_matrix(role, spec):
     """(matrix, provenance) of a role that needs a constant matrix."""
-    matrix, desc = spec.resolve(rng=None, symbolic=True)
+    matrix, desc = _named("--" + role, spec.resolve, None, True)
     if not isinstance(matrix, SquareMatrix):
         raise RoleKindMismatch("--%s needs a constant matrix, got a colour matrix" % role)
     return matrix, desc
@@ -166,23 +195,27 @@ def render_verify_text(data) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_verify(args, extra):
-    if args.samples < 1:
-        raise UsageError("--samples must be at least 1, got %d" % args.samples)
-    sysdef = systems.system(args.system)
-    roles = {role: _MatrixSpec(text) for role, text
-             in _take_role_args(extra, sysdef.roles, sysdef.roles).items()}
+def cmd_verify(tokens):
+    name, tokens = _positional(tokens, "verify needs a system name")
+    sysdef = systems.system(name)
+    values = _options(tokens, sysdef.roles + ("samples", "seed"), ("symbolic", "json"),
+                      sysdef.roles)
+    count = _int_option(values, "samples", DEFAULT_SAMPLES)
+    rng = random.Random(_int_option(values, "seed", DEFAULT_SEED))
+    if count < 1:
+        raise UsageError("--samples must be at least 1, got %d" % count)
+    symbolic = "symbolic" in values
+    roles = {role: _MatrixSpec(text) for role, text in values.items() if role in sysdef.roles}
     sampled = any(spec.kind == "catalog" and spec.free_params()
                   for spec in roles.values())
-    runs = 1 if (args.symbolic or not sampled) else args.samples
-    rng = random.Random(args.seed)
+    runs = 1 if (symbolic or not sampled) else count
     samples = []
     all_ok = True
     for run in range(runs):
         assignment = {}
         provenance = {}
         for role, spec in roles.items():
-            matrix, desc = spec.resolve(rng=rng, symbolic=args.symbolic)
+            matrix, desc = _named("--" + role, spec.resolve, rng, symbolic)
             assignment[role] = matrix
             provenance[role] = desc
         ok, rep = systems.verify(sysdef, assignment, provenance=provenance)
@@ -190,12 +223,10 @@ def cmd_verify(args, extra):
         samples.append({"index": run + 1, "assignment": provenance,
                         "verified": ok, "report": rep.to_dict()})
     data = {"command": "verify", "system": sysdef.name,
-            "symbolic": bool(args.symbolic), "samples": samples,
+            "symbolic": symbolic, "samples": samples,
             "verified": all_ok}
-    if args.json:
-        print(json.dumps(data, indent=2))
-    else:
-        sys.stdout.write(render_verify_text(data))
+    sys.stdout.write(json.dumps(data, indent=2) + "\n" if "json" in values
+                     else render_verify_text(data))
     return 0 if all_ok else 1
 
 
@@ -214,33 +245,28 @@ def render_solve_text(data) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_solve_z(args, extra):
-    text = _take_role_args(extra, ("X",), ("X",))["X"]
-    matrix, desc = _constant_matrix("X", _MatrixSpec(text))
+def cmd_solve_z(tokens):
+    values = _options(tokens, ("X",), ("emit-ybe", "json"), ("X",))
+    matrix, desc = _constant_matrix("X", _MatrixSpec(values["X"]))
     space = solver.solve_z_linear(matrix)   # SymbolicInput -> exit 2
     data = {"command": "solve-z", "X": desc, "dimension": space.dim,
             "rank": space.rank,
-            "basis": [matrix_to_text(m) for m in space.basis]}
-    if args.emit_ybe:
-        data["ybe_system"] = solver.filter_ybe(space).to_text()
-    else:
-        data["ybe_system"] = None
-    if args.json:
-        print(json.dumps(data, indent=2))
-    else:
-        sys.stdout.write(render_solve_text(data))
+            "basis": [matrix_to_text(m) for m in space.basis],
+            "ybe_system": solver.filter_ybe(space).to_text() if "emit-ybe" in values else None}
+    sys.stdout.write(json.dumps(data, indent=2) + "\n" if "json" in values
+                     else render_solve_text(data))
     return 0
 
 
 # ---------------------------------------------------------------------------
 # orbit
 
-def cmd_orbit(args, extra):
-    values = _take_role_args(
-        extra, ("W", "X", "Z", "T", "S", "omega", "xi", "zeta", "word"), ("W", "X", "Z"))
+def cmd_orbit(tokens):
+    values = _options(tokens, ("W", "X", "Z", "T", "S", "omega", "xi", "zeta", "word"),
+                      ("check",), ("W", "X", "Z"))
     mats = {role: _constant_matrix(role, _MatrixSpec(values[role]))[0]
             for role in ("W", "X", "Z", "T", "S") if role in values}
-    scales = {name: exprparse.parse_scalar(values[name])
+    scales = {name: _named("--" + name, exprparse.parse_scalar, values[name])
               for name in ("omega", "xi", "zeta") if name in values}
     spec = solver.TransformSpec(t_mat=mats.get("T"), s_mat=mats.get("S"),
                                 word=solver.parse_word(values.get("word", "")), **scales)
@@ -248,7 +274,7 @@ def cmd_orbit(args, extra):
     for label, mat in (("W", W), ("X", X), ("Z", Z)):
         print("%s:" % label)
         sys.stdout.write(matrix_to_text(mat))
-    if args.check:
+    if "check" in values:
         ok, rep = systems.verify("QDOUBLE", {"W": W, "X": X, "Z": Z})
         print("check: %s" % ("PASS" if ok else "FAIL"))
         return 0 if ok else 1
@@ -265,10 +291,14 @@ def _entry_text(name):
     return matrix_to_text(base, var_names=catalog.get(name).var_names)
 
 
-def cmd_catalog(args, extra):
-    if extra:
-        raise UsageError("unexpected arguments: %s" % " ".join(extra))
-    if args.action == "list":
+def cmd_catalog(tokens):
+    action, tokens = _positional(tokens, "catalog needs an action: list, show or export")
+    if action not in ("list", "show", "export"):
+        raise UsageError("unknown catalog action %r (expected list, show or export)" % action)
+    if action == "show":
+        name, tokens = _positional(tokens, "catalog show needs an entry name")
+    values = _options(tokens, ("dir",) if action == "export" else ())
+    if action == "list":
         for item in catalog.list_catalog():
             cons = "; ".join(item["constraints"]) or "-"
             colour = " colour(%s)" % ",".join(item["colour"]) if item["colour"] else ""
@@ -276,11 +306,9 @@ def cmd_catalog(args, extra):
                   % (item["name"], ",".join(item["params"]) or "-", colour, cons))
             print("       %s" % item["note"])
         return 0
-    if args.action == "show":
-        if not args.name:
-            raise UsageError("catalog show needs an entry name")
-        entry = catalog.get(args.name)
-        sys.stdout.write(_entry_text(args.name))
+    if action == "show":
+        entry = catalog.get(name)
+        sys.stdout.write(_entry_text(name))
         for label in entry.constraints.describe():
             print("constraint: %s" % label)
         if entry.witness:
@@ -288,11 +316,11 @@ def cmd_catalog(args, extra):
         if entry.note:
             print("note: %s" % entry.note)
         return 0
-    if not args.dir:
+    if "dir" not in values:
         raise UsageError("catalog export needs --dir")
-    os.makedirs(args.dir, exist_ok=True)
+    os.makedirs(values["dir"], exist_ok=True)
     for name in catalog.names():
-        path = os.path.join(args.dir, "%s.mat" % name)
+        path = os.path.join(values["dir"], "%s.mat" % name)
         with open(path, "w") as fh:
             fh.write(_entry_text(name))
         print("wrote %s" % path)
@@ -301,46 +329,21 @@ def cmd_catalog(args, extra):
 
 # ---------------------------------------------------------------------------
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="ybx",
-        description="exact Yang-Baxter system toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="verify a system on matrix assignments")
-    p.add_argument("system")
-    p.add_argument("--samples", type=int, default=10)
-    p.add_argument("--symbolic", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.set_defaults(run=cmd_verify)
-
-    p = sub.add_parser("solve-z", help="nullspace of the linear Z equation")
-    p.add_argument("--emit-ybe", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(run=cmd_solve_z)
-
-    p = sub.add_parser("orbit", help="apply a symmetry transformation")
-    p.add_argument("--check", action="store_true")
-    p.set_defaults(run=cmd_orbit)
-
-    p = sub.add_parser("catalog", help="browse or export the catalog")
-    p.add_argument("action", choices=("list", "show", "export"))
-    p.add_argument("name", nargs="?")
-    p.add_argument("--dir", default=None)
-    p.set_defaults(run=cmd_catalog)
-    return parser
+COMMANDS = {"verify": cmd_verify, "solve-z": cmd_solve_z, "orbit": cmd_orbit,
+            "catalog": cmd_catalog}
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(__doc__)
+        return 0
     try:
-        args, extra = parser.parse_known_args(argv)
-    except SystemExit:
-        return 2
-    try:
-        return args.run(args, extra)
+        known = "(expected one of %s)" % ", ".join(COMMANDS)
+        command, tokens = _positional(argv, "missing command " + known)
+        if command not in COMMANDS:
+            raise UsageError("unknown command %r %s" % (command, known))
+        return COMMANDS[command](tokens)
     except NotInvertible as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

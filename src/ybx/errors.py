@@ -77,3 +77,10 @@ class SymbolicInput(YbxError):
 
 class InputNotQbgSolution(YbxError):
     """The (Q, R) pair fails the braided-group system precondition."""
+
+
+def prefixed(exc, source):
+    """``exc`` with ``source`` (the option, pin or file line whose text it
+    is about) put before its message."""
+    exc.args = ("%s: %s" % (source, exc),)
+    return exc

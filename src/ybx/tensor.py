@@ -10,8 +10,8 @@ from __future__ import annotations
 from math import isqrt
 
 from . import exprparse
-from .errors import (DimensionMismatch, NotInvertible,
-                     UnsupportedTransform, ZeroScale)
+from .errors import (DimensionMismatch, ExprSyntaxError, NotInvertible,
+                     UnsupportedTransform, ZeroScale, prefixed)
 from .scalar import (ZERO, ONE, GaussianRational, Polynomial,
                      as_scalar, invert, is_zero, scalar_str, var_id, var_name)
 
@@ -462,33 +462,40 @@ def matrix_to_text(M: SquareMatrix, var_names=None) -> str:
 
 
 def matrix_from_text(text: str):
-    """Parse the matrix file format; returns (SquareMatrix, var_names)."""
+    """Parse the matrix file format; returns (SquareMatrix, var_names).
+    An error in a row names its line, counting blank and comment lines."""
     lines = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            lines.append(line)
-    if not lines or not lines[0].startswith("dim "):
+            lines.append((lineno, line))
+    if not lines or not lines[0][1].startswith("dim "):
         raise ValueError("matrix file must start with a 'dim <n>' line")
+    head = lines.pop(0)[1]
     try:
-        n = int(lines[0][4:].strip())
+        n = int(head[4:].strip())
     except ValueError:
-        raise ValueError("bad dimension in %r" % lines[0])
+        raise ValueError("bad dimension in %r" % head)
     if n <= 0:
         raise ValueError("dimension must be positive")
-    k = 1
     names = []
-    if k < len(lines) and lines[k].startswith("vars"):
-        names = lines[k][4:].split()
+    if lines and lines[0][1].startswith("vars"):
+        names = lines.pop(0)[1][4:].split()
         for name in names:
             var_id(name)
-        k += 1
     rows = []
-    for line in lines[k:]:
+    for lineno, line in lines:
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != n:
-            raise ValueError("expected %d entries per row, got %d" % (n, len(cells)))
-        rows.append([exprparse.parse_scalar(c) for c in cells])
+            raise ValueError("line %d: expected %d entries per row, got %d"
+                             % (lineno, n, len(cells)))
+        row = []
+        for col, cell in enumerate(cells, 1):
+            try:
+                row.append(exprparse.parse_scalar(cell))
+            except ExprSyntaxError as exc:
+                raise prefixed(exc, "line %d, entry %d" % (lineno, col))
+        rows.append(row)
     if len(rows) != n:
         raise ValueError("expected %d rows, got %d" % (n, len(rows)))
     return SquareMatrix(rows), names

@@ -114,14 +114,45 @@ def test_verify_usage_errors(capsys):
      "seed given twice in 'random[dim=4,seed=7,seed=1]'"),
     (["orbit", "--W", "catalog:P", "--X", "catalog:I", "--Z", "catalog:P", "--xi=",
       "--check"], "end of input"),
+    (["verify", "ybe", "--R", "catalog:P", "--samples", "2", "--samples", "3"],
+     "--samples given twice"),
+    (["verify", "ybe", "--R", "catalog:P", "--seed", "1", "--seed", "2"], "--seed given twice"),
+    (["verify", "ybe", "--R", "catalog:P", "--json", "--json"], "--json given twice"),
+    (["orbit", "--W", "catalog:P", "--X", "catalog:I", "--Z", "catalog:P", "--check",
+      "--check"], "--check given twice"),
+    (["catalog", "export", "--dir", "@TMP/a", "--dir", "@TMP/b"], "--dir given twice"),
+    (["solve-z", "--X", "catalog:P", "--emit-ybe=1"], "--emit-ybe takes no value"),
+    (["verify", "ybe", "--R", "catalog:P", "--sym"], "unknown option --sym"),
+    (["verify", "ybe", "--R", "catalog:P", "--samples", "x"],
+     "--samples needs an integer, got 'x'"),
+    (["verify", "--json", "ybe", "--R", "catalog:P"],
+     "verify needs a system name, found --json"),
+    (["catalog", "show", "W", "--dir", "@TMP"], "unknown option --dir"),
+    ([], "missing command (expected one of verify, solve-z, orbit, catalog)"),
+    (["nosuch"], "unknown command 'nosuch'"),
+    (["verify", "ybe", "--R", "file:@TMP/bad-cell.mat"],
+     "--R: line 3, entry 1: expected ')', found 'end of input' at offset 2"),
+    (["verify", "ybe", "--R", "file:@TMP/bad-row.mat"],
+     "--R: line 3: expected 2 entries per row, got 3"),
+    (["verify", "qdouble", "--W", "catalog:W[q=(2,t=q]", "--X", "catalog:I",
+      "--Z", "catalog:P"], "--W: pin q: expected ')', found 'end of input' at offset 2"),
+    (["orbit", "--W", "catalog:P", "--X", "catalog:I", "--Z", "catalog:P", "--xi", "(1"],
+     "--xi: expected ')', found 'end of input' at offset 2"),
 ], ids=["samples-0", "dim-0", "dim-3", "mixed-dims", "3x3-T",
         "const-in-colour", "const-in-family", "colour-to-solve-z", "colour-to-orbit",
         "non-square-triple", "orbit-mixed-dims", "orbit-mixed-dims-check",
         "orbit-mixed-dims-omega", "unknown-pin-sampled", "pins-break-constraint",
         "repeated-pin", "repeated-role", "repeated-solve-z-X", "repeated-word",
-        "repeated-scale", "repeated-random-key", "empty-scale"])
-def test_specification_errors_exit_2(capsys, argv, message):
-    code, out, err = run(capsys, *argv)
+        "repeated-scale", "repeated-random-key", "empty-scale",
+        "repeated-samples", "repeated-seed", "repeated-json", "repeated-check",
+        "repeated-dir", "flag-with-value", "option-prefix", "samples-not-int",
+        "option-before-positional", "dir-outside-export", "no-command", "unknown-command",
+        "file-cell-syntax", "file-row-shape", "pin-syntax", "scale-syntax"])
+def test_specification_errors_exit_2(capsys, tmp_path, argv, message):
+    # a bad cell, then a short row, on line 3 after a blank or comment line
+    (tmp_path / "bad-cell.mat").write_text("dim 2\n\n(q, 0\n0, 1\n")
+    (tmp_path / "bad-row.mat").write_text("dim 2\n# rows\n1, 0, 0\n0, 1\n")
+    code, out, err = run(capsys, *[a.replace("@TMP", str(tmp_path)) for a in argv])
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
@@ -139,7 +170,25 @@ def test_deep_nesting_is_a_specification_error(capsys, tmp_path, form):
             "scale": ["orbit"] + base + ["--xi", deep]}[form]
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert err.startswith("error: expression nested deeper than 100 at offset 100")
+    source = {"pin": "--R: pin q", "file": "--R: line 2, entry 1", "scale": "--xi"}[form]
+    assert err.startswith("error: %s: expression nested deeper than 100 at offset 100" % source)
+
+
+@pytest.mark.parametrize("power", ["(q+1)^2000", "(1+i)^99999999", "(q+s+t+1)^64",
+                                   "((q+1)^100)^100"])
+def test_oversized_power_is_a_specification_error(capsys, power):
+    code, out, err = run(capsys, "orbit", "--W", "catalog:P", "--X", "catalog:I",
+                         "--Z", "catalog:P", "--xi", power)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --xi: power too large")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["verify", "--help"],
+                                  ["solve-z", "--help"], ["orbit", "--help"],
+                                  ["catalog", "--help"]],
+                         ids=["-h", "--help", "verify", "solve-z", "orbit", "catalog"])
+def test_help_prints_the_synopsis(capsys, argv):
+    assert run(capsys, *argv) == (0, cli.__doc__, "")
 
 
 @pytest.mark.parametrize("dim", [65, 10**12])
@@ -313,18 +362,21 @@ _WORDS = st.sampled_from(["", "t", "dsym1:i#", "dsym2:+-", "dsym3:++", "t,dsym1:
                           "dsym1:zz", "bogus"])
 
 
-def _first_repeat(pairs, names, first_spec):
+def _first_repeat(opts, names, required, first_spec):
     """Message fragment for the first fault of a command line whose options
-    are ``pairs`` (of which ``names`` are known) and whose first parsed spec
-    is ``first_spec``, when that fault is a repeated name; None otherwise.
-    Every option is read before any spec is parsed."""
+    are ``opts`` (NAME, VALUE pairs, VALUE None for a flag; of them ``names``
+    are known and ``required`` must be given) and whose first parsed spec is
+    ``first_spec``, when that fault is a repeated name; None otherwise.
+    Every option is read before --samples is checked and any spec parsed."""
     seen = set()
-    for name, _ in pairs:
+    for name, _ in opts:
         if name not in names:
             return None
         if name in seen:
             return "--%s given twice" % name
         seen.add(name)
+    if not seen >= set(required) or int(dict(opts).get("samples", 1)) < 1:
+        return None
     for spec, name in _REPEATED_SPECS:
         if first_spec == spec:
             return "%s given twice in %r" % (name, spec)
@@ -334,8 +386,8 @@ def _first_repeat(pairs, names, first_spec):
 @st.composite
 def _argv(draw):
     """(argv, fragment): a command line and, when its first fault is a
-    repeated role, scale, --word, catalog pin or random key, the fragment
-    its error message must contain."""
+    repeated option, catalog pin or random key, the fragment its error
+    message must contain."""
     cmd = draw(st.sampled_from(["verify", "solve-z", "orbit", "catalog"]))
     if cmd == "catalog":
         action = draw(st.sampled_from(["list", "show"]))
@@ -344,46 +396,52 @@ def _argv(draw):
     repeat = draw(st.sampled_from([None, None, "option", "spec"]))
     first_spec = draw(st.sampled_from([s for s, _ in _REPEATED_SPECS]) if repeat == "spec"
                       else _SPECS)
+
+    def flags(*names):
+        """None, one or all of the flags ``names``, as (NAME, None) pairs."""
+        chosen = draw(st.sampled_from([[]] + [[name] for name in names] + [list(names)]))
+        return [(name, None) for name in chosen]
+
     if cmd == "solve-z":
-        argv, names = ["solve-z"], ("X",)
-        pairs = [("X", first_spec)]
-        if repeat == "option":
-            pairs.append(("X", draw(_SPECS)))
-        flags = draw(st.sampled_from([[], ["--emit-ybe"]]))
+        argv, names, required = ["solve-z"], ("X", "emit-ybe", "json"), ("X",)
+        opts = [("X", first_spec)] + flags("emit-ybe", "json")
+        again = [("X", draw(_SPECS)), ("emit-ybe", None), ("json", None)]
     elif cmd == "orbit":
-        argv, names = ["orbit"], ("W", "X", "Z", "omega", "xi", "zeta", "word")
-        pairs = [("W", first_spec)] + [(role, draw(_SPECS)) for role in "XZ"]
+        argv = ["orbit"]
+        names = ("W", "X", "Z", "omega", "xi", "zeta", "word", "check")
+        required = ("W", "X", "Z")
+        opts = [("W", first_spec)] + [(role, draw(_SPECS)) for role in "XZ"]
         # two scales drawn independently may repeat a name
         for name in draw(st.lists(st.sampled_from(["omega", "xi", "zeta"]), max_size=2)):
-            pairs.append((name, draw(_SCALES)))
-        pairs.append(("word", draw(_WORDS)))
-        if repeat == "option":
-            pairs.append(draw(st.sampled_from([("W", "catalog:P"), ("xi", "2"),
-                                               ("word", "t")])))
-        flags = draw(st.sampled_from([[], ["--check"]]))
+            opts.append((name, draw(_SCALES)))
+        opts += [("word", draw(_WORDS))] + flags("check")
+        again = [("W", "catalog:P"), ("xi", "2"), ("word", "t"), ("check", None)]
     else:
         system = draw(st.sampled_from(sorted(_ROLES)))
-        argv, names = ["verify", system], _ROLES[system]
-        roles = list(names)
+        argv, required = ["verify", system], _ROLES[system]
+        names = tuple(required) + ("samples", "seed", "symbolic", "json")
+        roles = list(required)
         change = draw(st.sampled_from(["", "", "drop", "unknown"]))
         if change == "drop":
             roles.pop()
         elif change == "unknown":
             roles.append("Q" if "Q" not in roles else "Y")
-        pairs = [(role, first_spec if k == 0 else draw(_SPECS))
-                 for k, role in enumerate(roles)]
-        if repeat == "option" and roles:
-            pairs.insert(1, (roles[0], draw(_SPECS)))
-        flags = []
+        opts = [(role, first_spec if k == 0 else draw(_SPECS)) for k, role in enumerate(roles)]
         if draw(st.booleans()):
-            flags += ["--samples", str(draw(st.integers(-1, 3)))]
-        flags += draw(st.sampled_from([[], ["--symbolic"], ["--json"]]))
-        if system == "nosuch" or flags[:1] == ["--samples"] and int(flags[1]) < 1:
-            names = ()   # the system name and --samples are checked first
-    fragment = _first_repeat(pairs, names, first_spec if pairs else None)
-    for name, value in pairs:
-        argv += ["--%s" % name, value]
-    return argv + flags, fragment
+            opts.append(("samples", str(draw(st.integers(-1, 3)))))
+        if draw(st.booleans()):
+            opts.append(("seed", str(draw(st.integers(0, 9)))))
+        opts += flags("symbolic", "json")
+        again = [(roles[0], draw(_SPECS))] if roles else []
+        again += [("samples", "2"), ("seed", "1"), ("symbolic", None), ("json", None)]
+        if system == "nosuch":
+            names = ()   # the system name is checked first
+    if repeat == "option":
+        opts.insert(draw(st.integers(0, len(opts))), draw(st.sampled_from(again)))
+    fragment = _first_repeat(opts, names, required, first_spec if opts else None)
+    for name, value in opts:
+        argv += ["--%s" % name] + ([] if value is None else [value])
+    return argv, fragment
 
 
 @pytest.fixture(scope="module")

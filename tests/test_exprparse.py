@@ -1,7 +1,10 @@
+import time
+
 import pytest
 
+from ybx import catalog
 from ybx.errors import DivisionByZero, ExprSyntaxError, NonIntegerExponent
-from ybx.exprparse import MAX_DEPTH, parse_scalar
+from ybx.exprparse import MAX_DEPTH, MAX_POWER_BITS, MAX_POWER_TERMS, parse_scalar
 from ybx.scalar import GaussianRational, Polynomial, RationalFunction, invert
 
 MALFORMED = [
@@ -99,3 +102,37 @@ def test_nesting_is_bounded(opener, closer):
     assert "nested deeper than %d" % MAX_DEPTH in str(err.value)
     with pytest.raises(ExprSyntaxError):
         parse_scalar(opener * 3000 + "2" + closer * 3000)
+
+
+@pytest.mark.parametrize("text", ["(q+1)^2000", "(1+i)^99999999", "(q+s+t+1)^64",
+                                  "((q+1)^100)^100"])
+def test_oversized_powers_are_refused_quickly(text):
+    start = time.perf_counter()
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_scalar(text)
+    assert time.perf_counter() - start < 1
+    assert err.value.offset == text.rindex("^") + 1
+    assert "power too large" in str(err.value)
+
+
+def test_power_bounds_are_exact():
+    """(q+s+1)^n has comb(n+2, 2) terms, 2^n has n+1 bits: the bounds admit
+    300 terms and 2 * 5000 bits of base times exponent, and no more."""
+    assert MAX_POWER_TERMS == 300 and MAX_POWER_BITS == 10_000
+    assert len(parse_scalar("(q+s+1)^23").terms) == 300
+    assert parse_scalar("2^5000") == 2 ** 5000
+    for text in ("(q+s+1)^24", "2^5001", "2^-5001", "(1/(q+1))^300"):
+        with pytest.raises(ExprSyntaxError):
+            parse_scalar(text)
+
+
+def test_powers_within_the_bounds_parse():
+    assert len(parse_scalar("(q+1)^100").terms) == 101
+    for name in catalog.names():
+        entry = catalog.get(name)
+        texts = [cell for row in entry.entries for cell in row]
+        texts += [e for _, e in entry.constraints.equalities + entry.constraints.inequations]
+        texts += [e for _, e in entry.witness]
+        texts += [e for _, exprs in entry.sampling for e in exprs]
+        for text in texts:
+            parse_scalar(text)
