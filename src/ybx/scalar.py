@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DenominatorVanishes, DivisionByZero
 
@@ -482,6 +482,18 @@ def invert(x):
     """Exact multiplicative inverse; raises DivisionByZero on zero input."""
     x = as_scalar(x)
     return x.inv()
+
+
+def gaussian_integers(values):
+    """The GaussianRationals ``values`` times the least common multiple of
+    their denominators, as (re, im) pairs of ints.  One positive factor
+    scales them all, so a row keeps its nullspace and a matrix its zero
+    entries."""
+    d = 1
+    for g in values:
+        d = lcm(d, g.re.denominator, g.im.denominator)
+    return [(g.re.numerator * (d // g.re.denominator),
+             g.im.numerator * (d // g.im.denominator)) for g in values]
 
 
 def lowest(x):

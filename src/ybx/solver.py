@@ -6,13 +6,14 @@ the symmetry-orbit engine, and the braided-group-to-double constructor.
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass
 
 from . import exprparse
 from .errors import (DimensionMismatch, InputNotQbgSolution, NotInvertible,
                      SymbolicInput, YbxError)
 from .scalar import (ZERO, ONE, GaussianRational, Polynomial, as_scalar,
-                     is_zero, scalar_str)
+                     gaussian_integers, is_zero, lowest, scalar_str)
 from .tensor import (SquareMatrix, _local_dim, conjugate, embed, rref, transform,
                      ybc_const)
 from .systems import SYSTEMS, verify
@@ -21,22 +22,119 @@ from .systems import SYSTEMS, verify
 # ---------------------------------------------------------------------------
 # exact linear algebra over the scalar field
 
+# Rows are selected in F_p.  p = 1 (mod 4), so i has an image there: 3
+# generates the units mod p, and its ((p-1)/4)-th power squares to -1.
+_PRIME = 998244353
+
+
 def nullspace(rows, ncols):
     """Echelon-normalized nullspace basis of the column space relation
-    rows * x = 0; returns (basis vectors, rank)."""
+    rows * x = 0; returns (basis vectors, rank).
+
+    For GaussianRational rows the rows are first selected mod p: each row
+    is scaled to Gaussian integers and kept when it is independent mod p
+    of the rows kept before it.  ``rref`` reduces the kept rows only, and
+    the basis is certified exactly: every basis vector must annihilate
+    every row of the full system.  Then both have one nullspace, hence one
+    reduced echelon form, and the answer equals that of ``rref`` on all
+    rows.  When a check fails (an unlucky prime), or an entry is not a
+    GaussianRational, ``rref`` runs on all rows."""
+    sparse = _gaussian_integer_rows(rows)
+    if sparse is not None:
+        work = [rows[k][:] for k in _independent_mod_p(sparse, ncols)]
+        pivots, _ = rref(work, ncols)
+        basis = _basis(work, pivots, ncols)
+        if _annihilates(basis, sparse):
+            return basis, len(pivots)
     work = [row[:] for row in rows]
     pivots, _ = rref(work, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
+    return _basis(work, pivots, ncols), len(pivots)
+
+
+def _basis(reduced, pivots, ncols):
+    """Nullspace basis read off a reduced row echelon form: one vector
+    per free column, in column order."""
     basis = []
-    for f in free:
+    for f in range(ncols):
+        if f in pivots:
+            continue
         v = [ZERO] * ncols
         v[f] = ONE
         for ri, pc in enumerate(pivots):
-            x = work[ri][f]
+            x = reduced[ri][f]
             if not x.is_zero():
                 v[pc] = -x
         basis.append(v)
-    return basis, len(pivots)
+    return basis
+
+
+def _gaussian_integer_rows(rows):
+    """Each row as its nonzero (column, (re, im)) pairs over Z[i], scaled
+    by gaussian_integers; None when an entry is not a GaussianRational."""
+    out = []
+    for row in rows:
+        cols = []
+        for c, x in enumerate(row):
+            if type(x) is not GaussianRational:
+                return None
+            if x.re or x.im:
+                cols.append(c)
+        out.append(list(zip(cols, gaussian_integers([row[c] for c in cols]))))
+    return out
+
+
+def _independent_mod_p(sparse, ncols):
+    """Indices of the rows kept by an incremental echelon form mod p: a
+    row is kept when it does not reduce to zero against the rows kept
+    before it.  Stops at ncols kept rows."""
+    p = _PRIME
+    i_mod_p = pow(3, (p - 1) // 4, p)
+    echelon = {}        # pivot column -> kept row mod p, 1 at the pivot, 0 left of it
+    order = []          # pivot columns, ascending
+    kept = []
+    for k, row in enumerate(sparse):
+        x = {}
+        for c, (re, im) in row:
+            v = (re + im * i_mod_p) % p
+            if v:
+                x[c] = v
+        for pc in order:
+            f = x.get(pc)
+            if f:
+                for c, v in echelon[pc].items():
+                    v = (x.get(c, 0) - f * v) % p
+                    if v:
+                        x[c] = v
+                    else:
+                        x.pop(c, None)
+        if x:
+            pc = min(x)
+            inv = pow(x[pc], p - 2, p)
+            echelon[pc] = {c: v * inv % p for c, v in x.items()}
+            insort(order, pc)
+            kept.append(k)
+            if len(kept) == ncols:
+                break
+    return kept
+
+
+def _annihilates(basis, sparse):
+    """Exact check that every basis vector has a zero dot product with
+    every row, in Z[i] over the nonzeros only."""
+    by_col = {}         # column -> [(basis index, (re, im))]
+    for j, v in enumerate(basis):
+        cols = [c for c, x in enumerate(v) if not x.is_zero()]
+        for c, g in zip(cols, gaussian_integers([v[c] for c in cols])):
+            by_col.setdefault(c, []).append((j, g))
+    for row in sparse:
+        acc = {}
+        for c, (a, b) in row:
+            for j, (x, y) in by_col.get(c, ()):
+                re, im = acc.get(j, (0, 0))
+                acc[j] = (re + a * x - b * y, im + a * y + b * x)
+        if any(re or im for re, im in acc.values()):
+            return False
+    return True
 
 
 @dataclass
@@ -71,11 +169,15 @@ def solve_z_linear(X: SquareMatrix) -> SolutionSpace:
     X must be numeric; substitute symbolic parameters first (SymbolicInput
     otherwise).  Its dim must be a perfect square (DimensionMismatch
     otherwise).  The basis is echelon-normalized with deterministic pivot
-    order, and rank + dim = (dim of X)^2 by construction.
+    order, and rank + dim = (dim of X)^2 by construction.  Constant
+    entries are lowered to GaussianRationals, so ``nullspace`` selects the
+    rows mod p, reduces only those, certifies the basis exactly against
+    every row and falls back to ``rref`` on all rows when a check fails.
     """
     if not X.is_numeric():
         raise SymbolicInput(
             "solve_z_linear needs numeric entries; substitute parameters first")
+    X = SquareMatrix([[lowest(a) for a in row] for row in X.rows])
     n2 = X.dim
     N = _local_dim(X)
     X12, X13 = embed(X, (1, 2)), embed(X, (1, 3))

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -138,6 +139,8 @@ def test_verify_usage_errors(capsys):
       "--Z", "catalog:P"], "--W: pin q: expected ')', found 'end of input' at offset 2"),
     (["orbit", "--W", "catalog:P", "--X", "catalog:I", "--Z", "catalog:P", "--xi", "(1"],
      "--xi: expected ')', found 'end of input' at offset 2"),
+    (["orbit", "--W", "catalog:P", "--X", "catalog:I", "--Z", "catalog:P",
+      "--xi", "2*1" + "0" * 5000], "--xi: integer literal of 5001 digits is too long at offset 2"),
 ], ids=["samples-0", "dim-0", "dim-3", "mixed-dims", "3x3-T",
         "const-in-colour", "const-in-family", "colour-to-solve-z", "colour-to-orbit",
         "non-square-triple", "orbit-mixed-dims", "orbit-mixed-dims-check",
@@ -147,7 +150,7 @@ def test_verify_usage_errors(capsys):
         "repeated-samples", "repeated-seed", "repeated-json", "repeated-check",
         "repeated-dir", "flag-with-value", "option-prefix", "samples-not-int",
         "option-before-positional", "dir-outside-export", "no-command", "unknown-command",
-        "file-cell-syntax", "file-row-shape", "pin-syntax", "scale-syntax"])
+        "file-cell-syntax", "file-row-shape", "pin-syntax", "scale-syntax", "long-literal"])
 def test_specification_errors_exit_2(capsys, tmp_path, argv, message):
     # a bad cell, then a short row, on line 3 after a blank or comment line
     (tmp_path / "bad-cell.mat").write_text("dim 2\n\n(q, 0\n0, 1\n")
@@ -183,6 +186,16 @@ def test_oversized_power_is_a_specification_error(capsys, power):
     assert err.startswith("error: --xi: power too large")
 
 
+def test_oversized_product_is_a_specification_error(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "orbit", "--W", "catalog:P", "--X", "catalog:I",
+                         "--Z", "catalog:P", "--xi", "(q+1)^100*(s+1)^100*(t+1)^100")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: --xi: product too large: the result could pass 20000 terms"
+                          " at offset 19")
+
+
 @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["verify", "--help"],
                                   ["solve-z", "--help"], ["orbit", "--help"],
                                   ["catalog", "--help"]],
@@ -199,6 +212,20 @@ def test_random_dim_is_bounded_without_allocating(capsys, monkeypatch, dim):
     code, out, err = run(capsys, "verify", "ybe", "--R", "random[dim=%d,seed=1]" % dim)
     assert code == 2 and out == ""
     assert err.startswith("error: random dim must be at most 64")
+
+
+def test_solve_z_json_matches_golden(capsys, tmp_path, monkeypatch):
+    """solve-z --json --emit-ybe bytes on a dense dim-4 X, a Gaussian
+    catalog point, the dim-9 flip and a Kronecker product of two
+    unipotent 3x3 matrices; the golden holds the matrix files too."""
+    with open(os.path.join(os.path.dirname(__file__), "golden", "solve_z.json")) as fh:
+        golden = json.load(fh)
+    monkeypatch.chdir(tmp_path)
+    for name, text in golden["files"].items():
+        (tmp_path / name).write_text(text)
+    assert len(golden["cases"]) == 4
+    for case in golden["cases"]:
+        assert run(capsys, *case["argv"]) == (0, case["stdout"], "")
 
 
 def test_verify_json_round_trips_to_text(capsys):

@@ -1,10 +1,16 @@
+import importlib.util
+import os
+import sys
 import time
+import types
 
 import pytest
 
-from ybx import catalog
+from ybx import catalog, cli, solver
 from ybx.errors import DivisionByZero, ExprSyntaxError, NonIntegerExponent
-from ybx.exprparse import MAX_DEPTH, MAX_POWER_BITS, MAX_POWER_TERMS, parse_scalar
+from ybx.exprparse import (MAX_DEPTH, MAX_POWER_BITS, MAX_POWER_TERMS, MAX_PRODUCT_TERMS,
+                           parse_scalar)
+from ybx.tensor import matrix_from_text
 from ybx.scalar import GaussianRational, Polynomial, RationalFunction, invert
 
 MALFORMED = [
@@ -136,3 +142,78 @@ def test_powers_within_the_bounds_parse():
         texts += [e for _, exprs in entry.sampling for e in exprs]
         for text in texts:
             parse_scalar(text)
+
+
+@pytest.mark.parametrize("text, offset", [
+    ("(q+1)^100*(s+1)^100*(t+1)^100", 19),
+    ("(q+1)^100*(s+1)^100/(1/(t+1)^100)", 19),
+    ("1/(q+1)^100 + 1/(s+1)^100 + 1/(t+1)^100", 26),
+    ("1/(q+1)^100 - 1/(s+1)^100 - 1/(t+1)^100", 26),
+])
+def test_oversized_products_are_refused_quickly(text, offset):
+    """Each factor passes the power bound; the operator that would
+    multiply past MAX_PRODUCT_TERMS term pairs is refused where it
+    stands, before anything is multiplied."""
+    start = time.perf_counter()
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_scalar(text)
+    assert time.perf_counter() - start < 1
+    assert err.value.offset == offset
+    assert "too large: the result could pass %d terms" % MAX_PRODUCT_TERMS in str(err.value)
+
+
+def test_product_bound_is_exact():
+    """(q+1)^140*(s+1)^140 multiplies 141*141 term pairs, within the
+    bound; one more term in either factor passes it."""
+    assert MAX_PRODUCT_TERMS == 20_000 and 141 * 141 <= 20_000 < 141 * 142
+    assert len(parse_scalar("(q+1)^140*(s+1)^140").terms) == 141 * 141
+    for text in ("(q+1)^141*(s+1)^140", "(q+1)^140/(1/(s+1)^141)"):
+        with pytest.raises(ExprSyntaxError):
+            parse_scalar(text)
+
+
+@pytest.mark.parametrize("text, offset", [
+    ("1" + "0" * 5000, 0),
+    ("q + 2*1" + "0" * 5000, 6),
+    ("q^1" + "0" * 5000, 2),
+    ("(q+1)^-" + "7" * 5000, 7),
+])
+def test_long_integer_literals_are_refused_where_they_start(text, offset):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_scalar(text)
+    assert err.value.offset == offset
+    assert "integer literal of %d digits is too long" % (len(text) - offset) in str(err.value)
+
+
+def test_benchmark_pins_parse(tmp_path, monkeypatch):
+    """Every pin, scale and matrix file of the benchmark's rounds 0-2 at
+    seeds 3 and 7 stays within the parser's bounds."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)    # for its dataclass
+    spec.loader.exec_module(workloads)
+    lib = types.SimpleNamespace(catalog=catalog, solver=solver)
+    scales = ("--omega", "--xi", "--zeta")
+    parsed = set()
+    for workload in sorted(workloads.WORKLOADS):
+        for seed in (3, 7):
+            for index in range(3):
+                for req in workloads.make_round(workload, seed, index, str(tmp_path), lib):
+                    if req.argv is None or req.check == "usage_error":
+                        continue
+                    for k, tok in enumerate(req.argv):
+                        name, eq, value = tok.partition("=")
+                        if tok.startswith("catalog:"):
+                            for pin in cli._MatrixSpec(tok).pins.values():
+                                parse_scalar(pin)
+                                parsed.add("pin")
+                        elif tok.startswith("file:"):
+                            with open(tok[len("file:"):]) as fh:
+                                matrix_from_text(fh.read())
+                            parsed.add("file")
+                        elif name in scales:
+                            parse_scalar(value if eq else req.argv[k + 1])
+                            parsed.add("scale")
+    assert parsed == {"pin", "file", "scale"}

@@ -1,13 +1,15 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import bareiss_rank, ybc_loops
 from ybx import catalog, solver, systems
 from ybx.errors import (DimensionMismatch, InputNotQbgSolution, NotInvertible,
                         SymbolicInput)
-from ybx.scalar import GaussianRational, substitute
-from ybx.tensor import SquareMatrix, embed, flip_matrix, random_matrix, ybc_const
+from ybx.scalar import ONE, ZERO, GaussianRational, Polynomial, substitute
+from ybx.tensor import SquareMatrix, embed, flip_matrix, random_matrix, rref, ybc_const
 
 P = flip_matrix(2)
 I = GaussianRational(0, 1)
@@ -111,6 +113,109 @@ def test_generic_sampling_dimension_agreement():
         space = solver.solve_z_linear(catalog.instantiate("X1", point))
         dims.add(space.dim)
     assert len(dims) == 1
+
+
+# ---------------------------------------------------------------------------
+# rows selected mod p, certified exactly
+
+def _rref_nullspace(rows, ncols):
+    """Basis and rank read off rref on all rows: the answer the rows
+    selected mod p must reproduce."""
+    work = [row[:] for row in rows]
+    pivots, _ = rref(work, ncols)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [ZERO] * ncols
+        v[f] = ONE
+        for ri, pc in enumerate(pivots):
+            v[pc] = -work[ri][f]
+        basis.append(v)
+    return basis, len(pivots)
+
+
+def _rref_spy(monkeypatch):
+    """Row counts of every rref call the solver makes."""
+    calls = []
+
+    def spy(work, ncols):
+        calls.append(len(work))
+        return rref(work, ncols)
+    monkeypatch.setattr(solver, "rref", spy)
+    return calls
+
+
+_ENTRIES = {
+    "dense": st.integers(-4, 4).map(GaussianRational),
+    "sparse": st.sampled_from([0] * 6 + [1, -1, 2, 5]).map(GaussianRational),
+    "gaussian": st.builds(GaussianRational, st.integers(-3, 3), st.integers(-3, 3)),
+    "mixed-denominator": st.builds(GaussianRational,
+                                   st.fractions(-3, 3, max_denominator=12),
+                                   st.fractions(-1, 1, max_denominator=6)),
+}
+
+
+@st.composite
+def _systems(draw):
+    """(rows, ncols): up to ncols generator rows, combinations of them,
+    zero rows and a duplicated row, shuffled; the rank runs from 0 to
+    ncols and the rows often outnumber the columns."""
+    entry = _ENTRIES[draw(st.sampled_from(sorted(_ENTRIES)))]
+    ncols = draw(st.integers(1, 6))
+    gens = [[draw(entry) for _ in range(ncols)] for _ in range(draw(st.integers(0, ncols)))]
+    rows = list(gens)
+    for _ in range(draw(st.integers(0, ncols + 2))):
+        coeffs = [draw(entry) for _ in gens]
+        rows.append([sum((c * g[j] for c, g in zip(coeffs, gens)), ZERO)
+                     for j in range(ncols)])
+    rows += [[ZERO] * ncols for _ in range(draw(st.integers(0, 2)))]
+    if rows and draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    return draw(st.permutations(rows)), ncols
+
+
+@pytest.mark.parametrize("prime", [solver._PRIME, 5])
+@settings(max_examples=100, deadline=None)
+@given(_systems())
+def test_selected_rows_give_the_full_rref_answer(prime, system):
+    """Byte for byte the answer of rref on all rows, with the module's
+    prime and with 5, where rows independent over Q(i) often vanish or
+    collapse and only the certificate and the fallback keep it right."""
+    rows, ncols = system
+    before = [[str(x) for x in row] for row in rows]
+    with mock.patch.object(solver, "_PRIME", prime):
+        basis, rank = solver.nullspace(rows, ncols)
+    want, want_rank = _rref_nullspace(rows, ncols)
+    assert rank == want_rank
+    assert [[str(x) for x in v] for v in basis] == [[str(x) for x in v] for v in want]
+    assert [[str(x) for x in row] for row in rows] == before
+
+
+def test_unlucky_prime_falls_back_to_all_rows(monkeypatch):
+    """Mod 5, where i maps to 3, the row (2+i, 0, 0) vanishes although it
+    is independent over Q(i) of the others.  The basis of the one kept row
+    fails the certificate on that row, and rref runs on all three."""
+    rows = [[GaussianRational(2, 1), ZERO, ZERO], [ZERO, ONE, ZERO],
+            [ZERO, GaussianRational(3), ZERO]]
+    calls = _rref_spy(monkeypatch)
+    monkeypatch.setattr(solver, "_PRIME", 5)
+    basis, rank = solver.nullspace(rows, 3)
+    assert calls == [1, 3]
+    assert (basis, rank) == _rref_nullspace(rows, 3) == ([[ZERO, ZERO, ONE]], 2)
+
+
+def test_certified_selection_reduces_only_the_kept_rows(monkeypatch):
+    """The dim-9 flip's 729-row system has rank 80: rref sees 80 rows."""
+    calls = _rref_spy(monkeypatch)
+    space = solver.solve_z_linear(flip_matrix(3))
+    assert calls == [80] and space.rank == 80
+
+
+def test_symbolic_rows_reduce_all_rows(monkeypatch):
+    q = Polynomial.variable("q")
+    calls = _rref_spy(monkeypatch)
+    basis, rank = solver.nullspace([[q, ONE], [q * q, q], [ZERO, ZERO]], 2)
+    assert calls == [3] and rank == 1
+    assert basis[0][1] == ONE and basis[0][0] * q == -ONE
 
 
 # ---------------------------------------------------------------------------
