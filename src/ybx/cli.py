@@ -271,14 +271,14 @@ def cmd_orbit(tokens):
     spec = solver.TransformSpec(t_mat=mats.get("T"), s_mat=mats.get("S"),
                                 word=solver.parse_word(values.get("word", "")), **scales)
     W, X, Z = solver.apply_transform((mats["W"], mats["X"], mats["Z"]), spec)
-    for label, mat in (("W", W), ("X", X), ("Z", Z)):
-        print("%s:" % label)
-        sys.stdout.write(matrix_to_text(mat))
+    text = "".join("%s:\n%s" % (label, matrix_to_text(mat))
+                   for label, mat in (("W", W), ("X", X), ("Z", Z)))
+    ok = True
     if "check" in values:
-        ok, rep = systems.verify("QDOUBLE", {"W": W, "X": X, "Z": Z})
-        print("check: %s" % ("PASS" if ok else "FAIL"))
-        return 0 if ok else 1
-    return 0
+        ok, _ = systems.verify("QDOUBLE", {"W": W, "X": X, "Z": Z})
+        text += "check: %s\n" % ("PASS" if ok else "FAIL")
+    sys.stdout.write(text)
+    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------

@@ -14,50 +14,39 @@ keeps coefficient sizes bounded.
 
 from __future__ import annotations
 
+import sys
 import threading
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DenominatorVanishes, DivisionByZero
+from .errors import DenominatorVanishes, DivisionByZero, YbxError
 
 
 # ---------------------------------------------------------------------------
 # variable registry
 
-class _VarRegistry:
-    """Append-only name <-> id table; registration order is the global
-    variable order used for monomial comparison and printing."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._ids = {}
-        self._names = []
-
-    def id_of(self, name):
-        vid = self._ids.get(name)
-        if vid is None:
-            with self._lock:
-                vid = self._ids.get(name)
-                if vid is None:
-                    vid = len(self._names)
-                    self._names.append(name)
-                    self._ids[name] = vid
-        return vid
-
-    def name_of(self, vid):
-        return self._names[vid]
-
-
-_registry = _VarRegistry()
+# An append-only name <-> id table; registration order is the global
+# variable order used for monomial comparison and printing.
+_var_lock = threading.Lock()
+_var_ids = {}
+_var_names = []
 
 
 def var_id(name: str) -> int:
     """Id of the variable ``name``, registering it on first use."""
-    return _registry.id_of(name)
+    vid = _var_ids.get(name)
+    if vid is None:
+        with _var_lock:
+            vid = _var_ids.get(name)
+            if vid is None:
+                vid = len(_var_names)
+                _var_names.append(name)
+                _var_ids[name] = vid
+    return vid
 
 
 def var_name(vid: int) -> str:
-    return _registry.name_of(vid)
+    return _var_names[vid]
 
 
 # ---------------------------------------------------------------------------
@@ -441,16 +430,12 @@ def _lift(x, level):
 
 
 def _coerce(a, b):
+    """(a, b) lifted to the higher of their levels, for the Scalar ``a``;
+    None when ``b`` is neither a Scalar nor an int or Fraction."""
     if not isinstance(b, Scalar):
-        if isinstance(b, (int, Fraction)):
-            b = GaussianRational(b)
-        else:
+        if not isinstance(b, (int, Fraction)):
             return None
-    if not isinstance(a, Scalar):
-        if isinstance(a, (int, Fraction)):
-            a = GaussianRational(a)
-        else:
-            return None
+        b = GaussianRational(b)
     level = a._LEVEL if a._LEVEL >= b._LEVEL else b._LEVEL
     return _lift(a, level), _lift(b, level)
 
@@ -527,9 +512,15 @@ def substitute(x, assignment):
 # canonical printing (round-trips through the exprparse grammar)
 
 def _frac_str(f: Fraction) -> str:
-    if f.denominator == 1:
-        return str(f.numerator)
-    return "%d/%d" % (f.numerator, f.denominator)
+    try:
+        if f.denominator == 1:
+            return str(f.numerator)
+        return "%d/%d" % (f.numerator, f.denominator)
+    except ValueError:
+        bits = max(f.numerator.bit_length(), f.denominator.bit_length())
+        raise YbxError("cannot print an integer of %d bits: it has more than %d digits, "
+                       "the most the interpreter converts to text"
+                       % (bits, sys.get_int_max_str_digits())) from None
 
 
 def gaussian_str(g: GaussianRational) -> str:

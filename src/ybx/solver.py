@@ -266,19 +266,25 @@ def emit_x_system(W: SquareMatrix, pattern, unknowns) -> PolySystem:
 # ---------------------------------------------------------------------------
 # the symmetry group
 
-DISCRETE_STEPS = ("t", "dsym1", "dsym2", "dsym3")
+# The discrete steps, each name -> (code -> the tag it names, the input
+# slot that feeds each output slot, the middle slot's tag).  A step's two
+# codes tag its outer output slots; "t" takes none and transposes all
+# three, and only dsym3 swaps the outer pair.
+STEPS = {
+    "t": ({}, (0, 1, 2), "t"),
+    "dsym1": ({"i": "id", "#": "#"}, (0, 1, 2), "id"),
+    "dsym2": ({"+": "+", "-": "-"}, (0, 1, 2), "-"),
+    "dsym3": ({"+": "+", "-": "-"}, (2, 1, 0), "+"),
+}
+DISCRETE_STEPS = tuple(STEPS)
 
 
 @dataclass
 class TransformSpec:
     """Continuous part (T, S in SL(2), nonzero scales) plus a word of
-    discrete steps.
-
-    Steps: ("t",) transposes all three; ("dsym1", a, b) with a, b in
-    {"id", "#"} applies them to the outer pair; ("dsym2", c, d) with c, d
-    in {"+", "-"} applies them outside while inverting the middle;
-    ("dsym3", c, d) swaps the outer pair, conjugating the middle by the
-    flip.  Composition: continuous first, then the word left to right.
+    discrete steps, each a tuple (name, *outer tags) of a step in
+    ``STEPS``: ("t",), ("dsym1", "id", "#"), ("dsym3", "+", "-").
+    Composition: continuous first, then the word left to right.
     """
 
     t_mat: SquareMatrix | None = None
@@ -292,9 +298,7 @@ class TransformSpec:
 def parse_word(text: str):
     """Parse a word like "dsym3:++,t,dsym1:i#" into step tuples."""
     steps = []
-    if not text:
-        return tuple(steps)
-    for part in text.split(","):
+    for part in text.split(",") if text else ():
         part = part.strip()
         if part in ("t", "dsym"):
             steps.append(("t",))
@@ -302,34 +306,25 @@ def parse_word(text: str):
         if ":" not in part:
             raise ValueError("bad transform step %r" % part)
         head, codes = part.split(":", 1)
-        if head == "dsym1":
-            if len(codes) != 2 or any(c not in "i#" for c in codes):
-                raise ValueError("dsym1 needs two codes from {i,#}: %r" % part)
-            steps.append(("dsym1", *("#" if c == "#" else "id" for c in codes)))
-        elif head in ("dsym2", "dsym3"):
-            if len(codes) != 2 or any(c not in "+-" for c in codes):
-                raise ValueError("%s needs two codes from {+,-}: %r" % (head, part))
-            steps.append((head, codes[0], codes[1]))
-        else:
+        tags = STEPS.get(head, ({},))[0]
+        if not tags:
             raise ValueError("unknown transform step %r" % part)
+        if len(codes) != 2 or any(c not in tags for c in codes):
+            raise ValueError("%s needs two codes from {%s}: %r" % (head, ",".join(tags), part))
+        steps.append((head, *(tags[c] for c in codes)))
     return tuple(steps)
 
 
 def _step_apply(triple, step):
-    W, X, Z = triple
-    kind = step[0]
+    if step[0] not in STEPS:
+        raise ValueError("unknown step %r" % (step,))
+    _, slots, middle = STEPS[step[0]]
+    left, right = step[1:] or (middle, middle)
     try:
-        if kind == "t":
-            return (W.transpose(), X.transpose(), Z.transpose())
-        if kind == "dsym1":
-            return (transform(W, step[1]), X, transform(Z, step[2]))
-        if kind == "dsym2":
-            return (transform(W, step[1]), transform(X, "-"), transform(Z, step[2]))
-        if kind == "dsym3":
-            return (transform(Z, step[1]), transform(X, "+"), transform(W, step[2]))
+        return tuple(transform(triple[k], tag)
+                     for k, tag in zip(slots, (left, middle, right)))
     except NotInvertible as exc:
         raise NotInvertible("step %s: %s" % (step[0], exc)) from None
-    raise ValueError("unknown step %r" % (step,))
 
 
 def apply_transform(triple, spec: TransformSpec):
@@ -387,12 +382,8 @@ def random_transform_spec(rng: random.Random) -> TransformSpec:
     word = []
     for _ in range(rng.randint(0, 4)):
         kind = rng.choice(DISCRETE_STEPS)
-        if kind == "t":
-            word.append(("t",))
-        elif kind == "dsym1":
-            word.append(("dsym1", rng.choice(["id", "#"]), rng.choice(["id", "#"])))
-        else:
-            word.append((kind, rng.choice("+-"), rng.choice("+-")))
+        tags = list(STEPS[kind][0].values())
+        word.append((kind,) + ((rng.choice(tags), rng.choice(tags)) if tags else ()))
     return TransformSpec(t_mat=random_sl2(rng), s_mat=random_sl2(rng),
                          omega=scale(), xi=scale(), zeta=scale(),
                          word=tuple(word))

@@ -21,6 +21,40 @@ from .tensor import ColourMatrix, SquareMatrix, transform, ybc_colour, ybc_const
 WITNESS_CAP = 32
 
 
+class MatrixFamily:
+    """An N x N grid of colour-dependent matrices; entry (J, K) plays the
+    role of the (J, K) member in family commutators."""
+
+    def __init__(self, grid):
+        self.N = len(grid)
+        for row in grid:
+            if len(row) != self.N:
+                raise DimensionMismatch("family grid must be square")
+        dims = {cm.dim for row in grid for cm in row}
+        if len(dims) != 1:
+            raise DimensionMismatch("family members must share one dimension")
+        self.grid = [list(row) for row in grid]
+
+    @property
+    def dim(self):
+        return self.grid[0][0].dim
+
+    def member(self, J, K) -> ColourMatrix:
+        return self.grid[J][K]
+
+    def swap_conjugate(self) -> "MatrixFamily":
+        """Family-level colour swap: member (J, K) becomes the colour-swap
+        conjugate of member (K, J)."""
+        return MatrixFamily([[self.grid[K][J].swap_conjugate()
+                              for K in range(self.N)] for J in range(self.N)])
+
+
+# kind -> (role type, commutator, label brackets)
+_KINDS = {"const": (SquareMatrix, ybc_const, "[]"),
+          "colour": (ColourMatrix, ybc_colour, "[[]]"),
+          "family": (MatrixFamily, ybc_colour, "{[]}")}
+
+
 @dataclass(frozen=True)
 class Equation:
     kind: str                  # const | colour | family
@@ -28,14 +62,9 @@ class Equation:
 
     @property
     def label(self):
-        def part(role, tag):
-            return role if tag == "id" else "%s^%s" % (role, tag)
-        inner = ",".join(part(r, t) for r, t in self.triple)
-        if self.kind == "const":
-            return "[%s]" % inner
-        if self.kind == "colour":
-            return "[[%s]]" % inner
-        return "{[%s]}" % inner
+        inner = ",".join(r if t == "id" else "%s^%s" % (r, t) for r, t in self.triple)
+        brackets = _KINDS[self.kind][2]
+        return brackets[:len(brackets) // 2] + inner + brackets[len(brackets) // 2:]
 
 
 @dataclass(frozen=True)
@@ -46,6 +75,8 @@ class SystemDef:
 
     def __post_init__(self):
         for eq in self.equations:
+            if eq.kind not in _KINDS:
+                raise UnknownName("unknown equation kind %r" % eq.kind)
             for role, tag in eq.triple:
                 if role not in self.roles:
                     raise UnknownName("equation references undeclared role %r" % role)
@@ -94,37 +125,6 @@ def system(name: str) -> SystemDef:
         return SYSTEMS[name.upper()]
     except KeyError:
         raise UnknownName("no system named %r" % name) from None
-
-
-class MatrixFamily:
-    """An N x N grid of colour-dependent matrices; entry (J, K) plays the
-    role of the (J, K) member in family commutators."""
-
-    def __init__(self, grid):
-        self.N = len(grid)
-        for row in grid:
-            if len(row) != self.N:
-                raise DimensionMismatch("family grid must be square")
-        dims = {cm.dim for row in grid for cm in row}
-        if len(dims) != 1:
-            raise DimensionMismatch("family members must share one dimension")
-        self.grid = [list(row) for row in grid]
-
-    @property
-    def dim(self):
-        return self.grid[0][0].dim
-
-    def member(self, J, K) -> ColourMatrix:
-        return self.grid[J][K]
-
-    def swap_conjugate(self) -> "MatrixFamily":
-        """Family-level colour swap: member (J, K) becomes the colour-swap
-        conjugate of member (K, J)."""
-        return MatrixFamily([[self.grid[K][J].swap_conjugate()
-                              for K in range(self.N)] for J in range(self.N)])
-
-
-_KIND_TYPES = {"const": SquareMatrix, "colour": ColourMatrix, "family": MatrixFamily}
 
 
 def _apply_tag(value, tag, role):
@@ -229,9 +229,7 @@ def residual(sysdef, assignment, provenance=None) -> ResidualReport:
         if role not in assignment:
             raise MissingRole("role %r not assigned" % role)
     for eq in sysdef.equations:
-        cls = _KIND_TYPES.get(eq.kind)
-        if cls is None:
-            raise UnknownName("unknown equation kind %r" % eq.kind)
+        cls = _KINDS[eq.kind][0]
         for role, _ in eq.triple:
             if not isinstance(assignment[role], cls):
                 raise RoleKindMismatch(
@@ -256,22 +254,19 @@ def residual(sysdef, assignment, provenance=None) -> ResidualReport:
         return cache[key]
 
     for eq in sysdef.equations:
-        (ra, ta), (rb, tb), (rc, tc) = eq.triple
+        ybc = _KINDS[eq.kind][1]
+        A, B, C = (tagged(role, tag) for role, tag in eq.triple)
+        N = isqrt(A.dim)
         if eq.kind == "family":
-            A, B, C = tagged(ra, ta), tagged(rb, tb), tagged(rc, tc)
-            N = isqrt(A.dim)
             count, wit = 0, []
             for J1, J2, J3 in product(range(A.N), repeat=3):
-                res = ybc_colour(A.member(J1, J2), B.member(J1, J3), C.member(J2, J3))
+                res = ybc(A.member(J1, J2), B.member(J1, J3), C.member(J2, J3))
                 c, w = _collect(res, N, WITNESS_CAP - len(wit),
                                 family_index=(J1, J2, J3))
                 count += c
                 wit.extend(w)
         else:
-            ybc = ybc_const if eq.kind == "const" else ybc_colour
-            A = tagged(ra, ta)
-            res = ybc(A, tagged(rb, tb), tagged(rc, tc))
-            count, wit = _collect(res, isqrt(A.dim), WITNESS_CAP)
+            count, wit = _collect(ybc(A, B, C), N, WITNESS_CAP)
         eqres = EquationResidual(eq.label, count == 0, count, wit)
         report.equations.append(eqres)
         if count:

@@ -141,6 +141,9 @@ def test_verify_usage_errors(capsys):
      "--xi: expected ')', found 'end of input' at offset 2"),
     (["orbit", "--W", "catalog:P", "--X", "catalog:I", "--Z", "catalog:P",
       "--xi", "2*1" + "0" * 5000], "--xi: integer literal of 5001 digits is too long at offset 2"),
+    (["orbit", "--W", "catalog:P", "--X", "catalog:I", "--Z", "catalog:P",
+      "--xi", "2^5000*2^5000*2^5000"],
+     "cannot print an integer of 15001 bits"),
 ], ids=["samples-0", "dim-0", "dim-3", "mixed-dims", "3x3-T",
         "const-in-colour", "const-in-family", "colour-to-solve-z", "colour-to-orbit",
         "non-square-triple", "orbit-mixed-dims", "orbit-mixed-dims-check",
@@ -150,7 +153,8 @@ def test_verify_usage_errors(capsys):
         "repeated-samples", "repeated-seed", "repeated-json", "repeated-check",
         "repeated-dir", "flag-with-value", "option-prefix", "samples-not-int",
         "option-before-positional", "dir-outside-export", "no-command", "unknown-command",
-        "file-cell-syntax", "file-row-shape", "pin-syntax", "scale-syntax", "long-literal"])
+        "file-cell-syntax", "file-row-shape", "pin-syntax", "scale-syntax", "long-literal",
+        "long-printed-integer"])
 def test_specification_errors_exit_2(capsys, tmp_path, argv, message):
     # a bad cell, then a short row, on line 3 after a blank or comment line
     (tmp_path / "bad-cell.mat").write_text("dim 2\n\n(q, 0\n0, 1\n")
@@ -160,6 +164,7 @@ def test_specification_errors_exit_2(capsys, tmp_path, argv, message):
     assert out == ""
     assert err.startswith("error:")
     assert message in err
+    assert "set_int_max_str_digits" not in err
 
 
 @pytest.mark.parametrize("form", ["pin", "file", "scale"])

@@ -42,6 +42,7 @@ def test_precedence():
 
 def test_eval_examples():
     assert parse_scalar("i*i") == -1
+    assert parse_scalar("\u0661\u0662") == 12      # decimal digits of any script
     val = parse_scalar("2*i*a*b/c")
     num = parse_scalar("2*i*a*b")
     assert val == RationalFunction(num, Polynomial.variable("c"))
@@ -89,6 +90,16 @@ def test_identifier_rules():
     assert parse_scalar("i2") == Polynomial.variable("i2")      # not the imaginary unit
     assert parse_scalar("eps_1") == Polynomial.variable("eps_1")
     assert parse_scalar("i") == GaussianRational(0, 1)
+
+
+@pytest.mark.parametrize("text, offset", [("\u00b2", 0), ("q^\u00b2", 2)],
+                         ids=["bare", "exponent"])
+def test_non_decimal_digits_are_unexpected_characters(text, offset):
+    # '\u00b2' (superscript two) is a digit to str.isdigit but not a decimal
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_scalar(text)
+    assert err.value.offset == offset
+    assert str(err.value) == "unexpected character '\u00b2' at offset %d" % offset
 
 
 def test_whitespace_insignificant():

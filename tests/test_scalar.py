@@ -108,6 +108,7 @@ def test_laurent_identities():
     qq = q()
     assert (qq - invert(qq)) * qq == qq * qq - 1
     assert parse_scalar("i*i") == -1
+    assert parse_scalar("q^0") == 1
     u, v = Polynomial.variable("u"), Polynomial.variable("v")
     # clearing denominators: (u-v)/(u*v) = v^-1 - u^-1
     assert (u - v) / (u * v) == invert(v) - invert(u)

@@ -5,11 +5,11 @@ import pytest
 
 from ybx import catalog, systems
 from ybx.errors import (DimensionMismatch, MissingRole, NotInvertible,
-                        RoleKindMismatch, UnknownName)
+                        RoleKindMismatch, UnknownName, UnsupportedTransform)
 from ybx.exprparse import parse_scalar as ps
 from ybx.scalar import GaussianRational
-from ybx.systems import (MatrixFamily, render_report_text, residual, system,
-                         verify)
+from ybx.systems import (Equation, MatrixFamily, SystemDef, render_report_text,
+                         residual, system, verify)
 from ybx.tensor import (ColourMatrix, SquareMatrix, flip_matrix,
                         random_matrix, transform, ybc_const)
 
@@ -213,6 +213,9 @@ def test_family_negative_case_reports_triple_index():
     assert not ok
     bad = [e for e in rep.equations if not e.zero]
     assert bad and all("family" in w for e in bad for w in e.witnesses)
+    w = bad[0].witnesses[0]
+    assert "|%s) J=(%s) = %s\n" % (",".join(map(str, w["col"])), ",".join(map(str, w["family"])),
+                                   w["value"]) in rep.to_text()
 
 
 def test_family_swap_conjugate_transposes_indices():
@@ -247,6 +250,19 @@ def test_not_invertible_names_role_and_transform():
         sysdef = SystemDef("TMP", ("R",), (Equation("const", (("R", "-"), ("R", "id"), ("R", "id"))),))
         residual(sysdef, {"R": singular})
     assert "R" in str(err.value) and "-" in str(err.value)
+
+
+@pytest.mark.parametrize("equation, error, message", [
+    (Equation("const", (("R", "id"), ("S", "id"), ("R", "id"))), UnknownName,
+     "equation references undeclared role 'S'"),
+    (Equation("const", (("R", "dd"), ("R", "id"), ("R", "id"))), UnsupportedTransform,
+     "colour-swap tag in a constant equation"),
+    (Equation("spectral", (("R", "id"), ("R", "id"), ("R", "id"))), UnknownName,
+     "unknown equation kind 'spectral'"),
+], ids=["undeclared-role", "dd-in-const", "unknown-kind"])
+def test_system_definition_errors(equation, error, message):
+    with pytest.raises(error, match=message):
+        SystemDef("TMP", ("R",), (equation,))
 
 
 def test_report_serialization_round_trip():

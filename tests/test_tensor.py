@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -209,6 +210,10 @@ def test_partial_transpose():
     assert partial_transpose(partial_transpose(A, 1), 2) == A.transpose()
     with pytest.raises(DimensionMismatch):
         partial_transpose(SquareMatrix.zeros(4), 3)
+
+
+def test_inverse_of_a_one_by_one_matrix():
+    assert SquareMatrix([[2]]).inverse() == SquareMatrix([[GaussianRational(Fraction(1, 2))]])
 
 
 def test_inverse_beyond_adjugate_size():
