@@ -30,6 +30,9 @@ DEFAULT_SEED = 20211997
 # Far above any dim whose commutator finishes quickly; a typo such as
 # dim=10**12 must not allocate dim^2 cells.
 MAX_RANDOM_DIM = 64
+# Every sample's report is kept until the run ends, so a typo such as
+# --samples 10**20 must not run for ever and grow without bound.
+MAX_SAMPLES = 1000
 
 
 class UsageError(YbxError):
@@ -204,6 +207,8 @@ def cmd_verify(tokens):
     rng = random.Random(_int_option(values, "seed", DEFAULT_SEED))
     if count < 1:
         raise UsageError("--samples must be at least 1, got %d" % count)
+    if count > MAX_SAMPLES:
+        raise UsageError("--samples must be at most %d, got %d" % (MAX_SAMPLES, count))
     symbolic = "symbolic" in values
     roles = {role: _MatrixSpec(text) for role, text in values.items() if role in sysdef.roles}
     sampled = any(spec.kind == "catalog" and spec.free_params()

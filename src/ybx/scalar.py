@@ -6,6 +6,12 @@ there is no floating point anywhere in this package.  The three levels
 coerce upward automatically (GaussianRational -> Polynomial ->
 RationalFunction), so mixed-level expressions just work.
 
+A GaussianRational stores (a + b*i)/d as three ints with d > 0 and
+gcd(a, b, d) = 1, so equal values have equal ints and zero is (0, 0, 1).
+Each operation works on the ints over one denominator and reduces its
+result with at most one gcd (Henrici, J. ACM 3, 1956; Knuth, TAOCP 2,
+4.5.1).  It is built from ints and Fractions only.
+
 Equality of rational functions is decided by cross-multiplication; there
 is no mandatory gcd normalisation (multivariate gcd would be costly and
 is unnecessary for exact zero testing).  An integer content reduction
@@ -170,45 +176,75 @@ class Scalar:
 
 
 class GaussianRational(Scalar):
-    """a + b*i with exact rational a, b."""
+    """(a + b*i)/d over the ints a, b, d, in the one form the module
+    docstring describes; ``re`` and ``im`` are its parts as Fractions."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
     _LEVEL = 0
 
     def __init__(self, re=0, im=0):
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        p, q = _ratio(re)
+        r, s = _ratio(im)
+        g = gcd(q, s)
+        # p/q and r/s are in lowest terms, so over lcm(q, s) no prime
+        # divides all three
+        self.a, self.b, self.d = p * (s // g), r * (q // g), q // g * s
+
+    @property
+    def re(self):
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self):
+        return Fraction(self.b, self.d)
 
     def is_zero(self):
-        return not self.re and not self.im
+        return not self.a and not self.b
 
     def is_one(self):
-        return self.re == 1 and not self.im
+        return self.a == 1 and not self.b and self.d == 1
 
     def _add(self, o):
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        d = self.d
+        if d == o.d:
+            a, b = self.a + o.a, self.b + o.b
+            if d == 1:
+                return _gr(a, b, 1)
+        else:
+            e = o.d
+            a, b, d = self.a * e + o.a * d, self.b * e + o.b * d, d * e
+        return _reduced(a, b, d)
 
     def _neg(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gr(-self.a, -self.b, self.d)
 
     def _mul(self, o):
-        if not self.im and not o.im:
-            return GaussianRational(self.re * o.re)
-        a, b, c, d = self.re, self.im, o.re, o.im
-        return GaussianRational(a * c - b * d, a * d + b * c)
+        a, b, c, e = self.a, self.b, o.a, o.b
+        d = self.d * o.d
+        if b or e:
+            a, b = a * c - b * e, a * e + b * c
+        else:
+            a *= c
+        if d == 1:
+            return _gr(a, b, 1)
+        return _reduced(a, b, d)
 
     def inv(self):
-        n = self.re * self.re + self.im * self.im
+        a, b, d = self.a, self.b, self.d
+        n = a * a + b * b
         if not n:
             raise DivisionByZero("inversion of zero")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _reduced(d * a, -d * b, n)
 
     def _eq(self, o):
-        return self.re == o.re and self.im == o.im
+        return self.a == o.a and self.b == o.b and self.d == o.d
 
     def __hash__(self):
         # equal to ints and Fractions, so it must hash like them
-        return hash(self.re) if not self.im else hash((self.re, self.im))
+        return hash(self.re) if not self.b else hash((self.re, self.im))
 
     def as_poly(self):
         if self.is_zero():
@@ -220,6 +256,34 @@ class GaussianRational(Scalar):
 
     def substitute(self, mapping):
         return self
+
+
+def _ratio(x):
+    """(numerator, denominator) of an int or Fraction in lowest terms."""
+    if isinstance(x, int):
+        return int(x), 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    raise TypeError("a GaussianRational part must be an int or a Fraction, not %s"
+                    % type(x).__name__)
+
+
+_new = object.__new__
+
+
+def _gr(a, b, d):
+    """The GaussianRational (a + b*i)/d, for a, b, d already in its form."""
+    g = _new(GaussianRational)
+    g.a, g.b, g.d = a, b, d
+    return g
+
+
+def _reduced(a, b, d):
+    """The GaussianRational (a + b*i)/d for any d > 0."""
+    g = gcd(a, b, d)
+    if g == 1:
+        return _gr(a, b, d)
+    return _gr(a // g, b // g, d // g)
 
 
 ZERO = GaussianRational(0)
@@ -399,10 +463,9 @@ def _content(p):
     nums = 0
     dens = 1
     for c in p.terms.values():
-        for f in (c.re, c.im):
-            if f:
-                nums = gcd(nums, abs(f.numerator))
-                dens = dens * f.denominator // gcd(dens, f.denominator)
+        # gcd(c.a, c.b) / c.d is the content of c, in lowest terms
+        nums = gcd(nums, c.a, c.b)
+        dens = lcm(dens, c.d)
     if not nums:
         return Fraction(0)
     return Fraction(nums, dens)
@@ -474,11 +537,8 @@ def gaussian_integers(values):
     their denominators, as (re, im) pairs of ints.  One positive factor
     scales them all, so a row keeps its nullspace and a matrix its zero
     entries."""
-    d = 1
-    for g in values:
-        d = lcm(d, g.re.denominator, g.im.denominator)
-    return [(g.re.numerator * (d // g.re.denominator),
-             g.im.numerator * (d // g.im.denominator)) for g in values]
+    d = lcm(*(g.d for g in values))
+    return [(g.a * (d // g.d), g.b * (d // g.d)) for g in values]
 
 
 def lowest(x):
@@ -555,7 +615,7 @@ def _term_str(m: Monomial, c: GaussianRational) -> str:
     ms = _monomial_str(m)
     if c.is_one():
         return ms
-    if c.re == -1 and not c.im:
+    if c.a == -1 and not c.b and c.d == 1:
         return "-" + ms
     return gaussian_str(c) + "*" + ms
 
@@ -587,7 +647,7 @@ def _is_atomic_factor(p: Polynomial) -> bool:
         return False
     (m, c), = p.terms.items()
     if not m:
-        return not c.im and c.re.denominator == 1 and c.re > 0
+        return not c.b and c.d == 1 and c.a > 0
     return c.is_one() and len(m) == 1
 
 

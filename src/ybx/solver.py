@@ -77,7 +77,7 @@ def _gaussian_integer_rows(rows):
         for c, x in enumerate(row):
             if type(x) is not GaussianRational:
                 return None
-            if x.re or x.im:
+            if x.a or x.b:
                 cols.append(c)
         out.append(list(zip(cols, gaussian_integers([row[c] for c in cols]))))
     return out

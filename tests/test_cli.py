@@ -144,6 +144,8 @@ def test_verify_usage_errors(capsys):
     (["orbit", "--W", "catalog:P", "--X", "catalog:I", "--Z", "catalog:P",
       "--xi", "2^5000*2^5000*2^5000"],
      "cannot print an integer of 15001 bits"),
+    (["verify", "ybe", "--R", "catalog:W", "--samples", "100000000000000000000"],
+     "--samples must be at most 1000, got 100000000000000000000"),
 ], ids=["samples-0", "dim-0", "dim-3", "mixed-dims", "3x3-T",
         "const-in-colour", "const-in-family", "colour-to-solve-z", "colour-to-orbit",
         "non-square-triple", "orbit-mixed-dims", "orbit-mixed-dims-check",
@@ -154,7 +156,7 @@ def test_verify_usage_errors(capsys):
         "repeated-dir", "flag-with-value", "option-prefix", "samples-not-int",
         "option-before-positional", "dir-outside-export", "no-command", "unknown-command",
         "file-cell-syntax", "file-row-shape", "pin-syntax", "scale-syntax", "long-literal",
-        "long-printed-integer"])
+        "long-printed-integer", "samples-too-many"])
 def test_specification_errors_exit_2(capsys, tmp_path, argv, message):
     # a bad cell, then a short row, on line 3 after a blank or comment line
     (tmp_path / "bad-cell.mat").write_text("dim 2\n\n(q, 0\n0, 1\n")

@@ -3,6 +3,7 @@ import os
 import sys
 import time
 import types
+from fractions import Fraction
 
 import pytest
 
@@ -141,6 +142,16 @@ def test_power_bounds_are_exact():
     for text in ("(q+s+1)^24", "2^5001", "2^-5001", "(1/(q+1))^300"):
         with pytest.raises(ExprSyntaxError):
             parse_scalar(text)
+
+
+def test_power_bits_are_those_of_the_reduced_parts():
+    """(1/2+i/3) is stored over the denominator 6, of 3 bits, but its
+    widest reduced part, 1/2 or 1/3, has 2: the bound admits 2 * 5000."""
+    assert parse_scalar("(1/2+i/3)^5000") == GaussianRational(Fraction(1, 2), Fraction(1, 3)) ** 5000
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_scalar("(1/2+i/3)^5001")
+    assert err.value.offset == 10
+    assert "power too large: the result could pass 10000 coefficient bits" in str(err.value)
 
 
 def test_powers_within_the_bounds_parse():
