@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exprparse
-from .errors import ConstraintViolated, ExprSyntaxError, UnknownName, prefixed
+from .errors import ConstraintViolated, DivisionByZero, ExprSyntaxError, UnknownName, prefixed
 from .scalar import (GaussianRational, as_scalar, lowest, substitute, var_id)
 from .tensor import COLOURS, ColourMatrix, SquareMatrix
 
@@ -339,7 +339,7 @@ def _resolve_assignment(entry: NamedMatrix, assignment):
         if isinstance(val, str):
             try:
                 val = exprparse.parse_scalar(val)
-            except ExprSyntaxError as exc:
+            except (ExprSyntaxError, DivisionByZero) as exc:
                 raise prefixed(exc, "pin %s" % p)
         else:
             val = as_scalar(val)
@@ -376,8 +376,9 @@ def sample_assignment(name: str, rng: random.Random, pins=None):
     ``pins`` maps parameters to fixed values or expression strings; pinned
     expressions may refer to parameters sampled earlier in declaration
     order (e.g. t="q").  Each point is resolved like an ``instantiate``
-    assignment, so an unknown pin raises.  When no point is admissible,
-    the error names a constraint the pins alone break, if there is one.
+    assignment and rejected when that divides by zero or breaks a
+    constraint.  When no point is admissible, the error names an unknown
+    pin, a zero divisor or a constraint the pins alone break, if any.
     """
     entry = get(name)
     pins = pins or {}
@@ -392,10 +393,10 @@ def sample_assignment(name: str, rng: random.Random, pins=None):
             else:
                 num = rng.choice([n for n in range(-5, 6) if n])
                 raw[p] = Fraction(num, rng.choice([1, 1, 1, 2, 3]))
-        assignment = _resolve_assignment(entry, raw)
         try:
+            assignment = _resolve_assignment(entry, raw)
             entry.constraints.check(assignment)
-        except ConstraintViolated:
+        except (ConstraintViolated, DivisionByZero):    # as t = -q^-1 at q = 0
             continue
         return assignment
     entry.constraints.check(_resolve_assignment(entry, pins))

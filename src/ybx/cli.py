@@ -20,7 +20,8 @@ import random
 import sys
 
 from . import catalog, solver, systems
-from .errors import ExprSyntaxError, NotInvertible, RoleKindMismatch, YbxError, prefixed
+from .errors import (DivisionByZero, ExprSyntaxError, NotInvertible, RoleKindMismatch,
+                     YbxError, prefixed)
 from .scalar import scalar_str
 from .tensor import SquareMatrix, matrix_from_text, matrix_to_text, random_matrix
 from . import exprparse
@@ -73,7 +74,10 @@ class _MatrixSpec:
                     raise UsageError("unknown random parameter %r" % key)
             if "dim" not in pairs or "seed" not in pairs:
                 raise UsageError("random spec needs dim and seed: %r" % text)
-            self.dim, self.seed = int(pairs["dim"]), int(pairs["seed"])
+            try:
+                self.dim, self.seed = int(pairs["dim"]), int(pairs["seed"])
+            except ValueError:
+                raise UsageError("random dim and seed must be integers: %r" % text) from None
             if self.dim < 1:
                 raise UsageError("random dim must be at least 1: %r" % text)
             if self.dim > MAX_RANDOM_DIM:
@@ -160,11 +164,11 @@ def _int_option(values, name, default):
 
 
 def _named(option, call, *args):
-    """call(*args), naming ``option`` in a syntax or file-format error of
-    the text it was given."""
+    """call(*args), naming ``option`` in a syntax, zero-divisor or
+    file-format error of the text it was given."""
     try:
         return call(*args)
-    except (ExprSyntaxError, ValueError) as exc:
+    except (ExprSyntaxError, DivisionByZero, ValueError) as exc:
         raise prefixed(exc, option)
 
 
@@ -184,14 +188,9 @@ def render_verify_text(data) -> str:
     for sample in data["samples"]:
         lines.append("sample %d: %s" % (sample["index"],
                                         "PASS" if sample["verified"] else "FAIL"))
-        for role, desc in sample["assignment"].items():
-            lines.append("  %s = %s" % (role, desc))
-        if not sample["verified"]:
-            for eq in sample["report"]["equations"]:
-                if not eq["zero"]:
-                    lines.append("  equation %s: NONZERO (%d entries)"
-                                 % (eq["label"], eq["nonzero_count"]))
-                    lines.extend(systems.witness_lines(eq["witnesses"][:4]))
+        # the roles in the order they were given, not the system's order
+        lines.extend(systems.report_lines(dict(sample["report"],
+                                               assignment=sample["assignment"]), 4))
     lines.append("overall: %s (%d sample%s)"
                  % ("PASS" if data["verified"] else "FAIL",
                     len(data["samples"]), "" if len(data["samples"]) == 1 else "s"))

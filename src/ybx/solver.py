@@ -154,13 +154,23 @@ class SolutionSpace:
                  for j in range(self.member_dim)] for m in self.basis]
 
     def contains(self, M: SquareMatrix) -> bool:
-        """Exact membership test: M is in the span when adding it to the
-        basis leaves the rank unchanged."""
+        """Exact membership without elimination.  Each basis vector has a
+        free column, where it is 1 and every other vector is 0 (as ``_basis``
+        builds them), so M is in the span exactly when it equals the sum
+        over the basis of M[free column] * vector.  ValueError when a vector
+        has no free column."""
         if M.dim != self.member_dim:
             return False
-        # the basis is independent by construction, so its rank is self.dim
         target = [M.rows[i][j] for i in range(M.dim) for j in range(M.dim)]
-        return len(rref(self.vectors() + [target], len(target))[0]) == self.dim
+        vecs = self.vectors()
+        shared = [sum(not v[c].is_zero() for v in vecs) for c in range(len(target))]
+        combo = [ZERO] * len(target)
+        for k, v in enumerate(vecs):
+            col = next((c for c, x in enumerate(v) if shared[c] == 1 and x == ONE), None)
+            if col is None:
+                raise ValueError("basis vector %d has no free column" % (k + 1))
+            combo = [y if x.is_zero() else y + target[col] * x for x, y in zip(v, combo)]
+        return combo == target
 
 
 def solve_z_linear(X: SquareMatrix) -> SolutionSpace:

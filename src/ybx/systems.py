@@ -8,7 +8,6 @@ without new code.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from itertools import product
 from math import isqrt
@@ -159,37 +158,24 @@ class ResidualReport:
     def to_dict(self):
         return asdict(self)
 
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2)
-
     def to_text(self):
-        return render_report_text(self.to_dict())
+        return "\n".join(["system %s" % self.system] + report_lines(self.to_dict(), WITNESS_CAP)
+                         + ["result: %s" % ("PASS" if self.all_zero else "FAIL")]) + "\n"
 
 
-def render_report_text(data: dict) -> str:
-    """Deterministic human-readable rendering of a report dict."""
-    lines = ["system %s" % data["system"]]
-    for role, desc in data["assignment"].items():
-        lines.append("  %s = %s" % (role, desc))
+def report_lines(data: dict, cap: int) -> list:
+    """The role lines of a report dict, then each nonzero equation with up
+    to ``cap`` witness lines ``(row|col)[ J=(family)] = value``; a zero
+    equation has no witnesses."""
+    lines = ["  %s = %s" % item for item in data["assignment"].items()]
     for eq in data["equations"]:
-        if eq["zero"]:
-            lines.append("equation %s: ZERO" % eq["label"])
-        else:
-            lines.append("equation %s: NONZERO (%d entries)"
-                         % (eq["label"], eq["nonzero_count"]))
-            lines.extend(witness_lines(eq["witnesses"]))
-    lines.append("result: %s" % ("PASS" if data["all_zero"] else "FAIL"))
-    return "\n".join(lines) + "\n"
-
-
-def witness_lines(witnesses) -> list:
-    """One indented ``(row|col)[ J=(family)] = value`` line per witness dict."""
-    lines = []
-    for w in witnesses:
-        where = "(%s|%s)" % (",".join(map(str, w["row"])), ",".join(map(str, w["col"])))
-        if "family" in w:
-            where += " J=(%s)" % ",".join(map(str, w["family"]))
-        lines.append("    %s = %s" % (where, w["value"]))
+        if not eq["zero"]:
+            lines.append("  equation %(label)s: NONZERO (%(nonzero_count)d entries)" % eq)
+        for w in eq["witnesses"][:cap]:
+            where = "(%s|%s)" % (",".join(map(str, w["row"])), ",".join(map(str, w["col"])))
+            if "family" in w:
+                where += " J=(%s)" % ",".join(map(str, w["family"]))
+            lines.append("    %s = %s" % (where, w["value"]))
     return lines
 
 

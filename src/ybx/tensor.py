@@ -10,7 +10,7 @@ from __future__ import annotations
 from math import isqrt
 
 from . import exprparse
-from .errors import (DimensionMismatch, ExprSyntaxError, NotInvertible,
+from .errors import (DimensionMismatch, DivisionByZero, ExprSyntaxError, NotInvertible,
                      UnsupportedTransform, ZeroScale, prefixed)
 from .scalar import (ZERO, ONE, GaussianRational, Polynomial,
                      as_scalar, invert, is_zero, scalar_str, var_id, var_name)
@@ -493,7 +493,7 @@ def matrix_from_text(text: str):
         for col, cell in enumerate(cells, 1):
             try:
                 row.append(exprparse.parse_scalar(cell))
-            except ExprSyntaxError as exc:
+            except (ExprSyntaxError, DivisionByZero) as exc:
                 raise prefixed(exc, "line %d, entry %d" % (lineno, col))
         rows.append(row)
     if len(rows) != n:

@@ -146,6 +146,14 @@ def test_verify_usage_errors(capsys):
      "cannot print an integer of 15001 bits"),
     (["verify", "ybe", "--R", "catalog:W", "--samples", "100000000000000000000"],
      "--samples must be at most 1000, got 100000000000000000000"),
+    (["orbit", "--W", "catalog:P", "--X", "catalog:I", "--Z", "catalog:P", "--xi", "1/0"],
+     "error: --xi: division by zero"),
+    (["verify", "ybe", "--R", "catalog:W[q=1/0]"], "error: --R: pin q: division by zero"),
+    (["verify", "ybe", "--R", "file:@TMP/zero-cell.mat"],
+     "error: --R: line 5, entry 4: division by zero"),
+    (["verify", "ybe", "--R", "catalog:W[q=0]"], "error: W: constraint violated: q != 0"),
+    (["verify", "ybe", "--R", "random[dim=4,seed=x]"],
+     "error: random dim and seed must be integers: 'random[dim=4,seed=x]'"),
 ], ids=["samples-0", "dim-0", "dim-3", "mixed-dims", "3x3-T",
         "const-in-colour", "const-in-family", "colour-to-solve-z", "colour-to-orbit",
         "non-square-triple", "orbit-mixed-dims", "orbit-mixed-dims-check",
@@ -156,11 +164,15 @@ def test_verify_usage_errors(capsys):
         "repeated-dir", "flag-with-value", "option-prefix", "samples-not-int",
         "option-before-positional", "dir-outside-export", "no-command", "unknown-command",
         "file-cell-syntax", "file-row-shape", "pin-syntax", "scale-syntax", "long-literal",
-        "long-printed-integer", "samples-too-many"])
+        "long-printed-integer", "samples-too-many", "zero-divisor-scale", "zero-divisor-pin",
+        "zero-divisor-file", "zero-divisor-sampled", "random-seed-not-int"])
 def test_specification_errors_exit_2(capsys, tmp_path, argv, message):
     # a bad cell, then a short row, on line 3 after a blank or comment line
     (tmp_path / "bad-cell.mat").write_text("dim 2\n\n(q, 0\n0, 1\n")
     (tmp_path / "bad-row.mat").write_text("dim 2\n# rows\n1, 0, 0\n0, 1\n")
+    # a zero divisor in line 5, entry 4
+    (tmp_path / "zero-cell.mat").write_text("dim 4\n1, 0, 0, 0\n0, 1, 0, 0\n#\n0, 0, 1, 1/0\n"
+                                            "0, 0, 0, 1\n")
     code, out, err = run(capsys, *[a.replace("@TMP", str(tmp_path)) for a in argv])
     assert code == 2
     assert out == ""

@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from math import isqrt
 from unittest import mock
 
 import pytest
@@ -103,6 +105,63 @@ def test_membership_of_catalog_partners():
         assert space.contains(Z), zname
     assert space.contains(P)
     assert not space.contains(random_matrix(4, 1234))
+
+
+def _in_span_by_rank(space, M):
+    """Reference membership: M is in the span when it leaves the rank of
+    the basis at the basis size.  Bareiss over Z[i] for a numeric M,
+    ``rref`` over the rational functions for a symbolic one."""
+    n = space.member_dim
+    target = [M.rows[i][j] for i in range(n) for j in range(n)]
+    rows = space.vectors() + [target]
+    if all(isinstance(x, GaussianRational) for x in target):
+        return bareiss_rank(rows) == space.dim
+    return len(rref(rows, n * n)[0]) == space.dim
+
+
+# a partner of each catalog X, instantiated with its parameters symbolic
+SYMBOLIC_PARTNER = {"X1": "Z10", "X2": "Z20", "X3": "Z30", "X4": "Z41", "X5": "Z51",
+                    "X6": "Z11"}
+
+
+@pytest.mark.parametrize("label", ["X1", "X2", "X3", "X4", "X5", "X6", "random-3",
+                                   "random-17", "flip-9"])
+def test_contains_agrees_with_the_rank_reference(label):
+    rng = random.Random(label)
+    if label in SYMBOLIC_PARTNER:
+        X = catalog.instantiate(label, catalog.witness(label))
+    else:
+        X = flip_matrix(3) if label == "flip-9" else random_matrix(4, int(label[7:]))
+    space = solver.solve_z_linear(X)
+    n = space.member_dim
+
+    def gauss():
+        return GaussianRational(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                                Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+    combos = []
+    for _ in range(3):
+        Z = SquareMatrix.zeros(n)
+        for m in space.basis:
+            Z = Z + m.scale(gauss())
+        combos.append(Z)
+    perturbed = combos[0] + SquareMatrix.unit(n, rng.randrange(n), rng.randrange(n))
+    candidates = list(space.basis) + combos + [
+        perturbed, random_matrix(n, 5), random_matrix(n, 6), SquareMatrix.identity(n),
+        flip_matrix(isqrt(n))]
+    if label in SYMBOLIC_PARTNER:
+        candidates.append(catalog.instantiate(SYMBOLIC_PARTNER[label]))
+    answers = [space.contains(M) for M in candidates]
+    assert answers == [_in_span_by_rank(space, M) for M in candidates]
+    assert set(answers) == {True, False}
+
+
+def test_contains_refuses_a_basis_without_free_columns():
+    # both vectors are nonzero in both columns, so no column fixes a coefficient
+    space = solver.SolutionSpace(2, [SquareMatrix([[1, 1], [0, 0]]),
+                                     SquareMatrix([[1, -1], [0, 0]])], 2)
+    with pytest.raises(ValueError, match="basis vector 1 has no free column"):
+        space.contains(SquareMatrix.identity(2))
+    assert not solver.solve_z_linear(P).contains(flip_matrix(3))
 
 
 def test_generic_sampling_dimension_agreement():

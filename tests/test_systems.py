@@ -3,12 +3,12 @@ import random
 
 import pytest
 
-from ybx import catalog, systems
+from ybx import catalog, cli, systems
 from ybx.errors import (DimensionMismatch, MissingRole, NotInvertible,
                         RoleKindMismatch, UnknownName, UnsupportedTransform)
 from ybx.exprparse import parse_scalar as ps
 from ybx.scalar import GaussianRational
-from ybx.systems import (Equation, MatrixFamily, SystemDef, render_report_text,
+from ybx.systems import (Equation, MatrixFamily, SystemDef, report_lines,
                          residual, system, verify)
 from ybx.tensor import (ColourMatrix, SquareMatrix, flip_matrix,
                         random_matrix, transform, ybc_const)
@@ -267,8 +267,15 @@ def test_system_definition_errors(equation, error, message):
 
 def test_report_serialization_round_trip():
     ok, rep = verify("QDOUBLE", {"W": P, "X": random_matrix(4, 7), "Z": W23()})
-    data = json.loads(rep.to_json())
+    data = json.loads(json.dumps(rep.to_dict()))
     assert data["all_zero"] is False
-    assert render_report_text(data) == rep.to_text()
+    assert "\n".join(["system QDOUBLE"] + report_lines(data, systems.WITNESS_CAP)
+                     + ["result: FAIL"]) + "\n" == rep.to_text()
     assert data["system"] == "QDOUBLE"
     assert set(data["assignment"]) == {"W", "X", "Z"}
+    # one renderer, two witness caps: 32 for to_text, 4 for the CLI
+    ok, rep = verify("YBE", {"R": random_matrix(4, 7)})
+    sample = {"index": 1, "verified": ok, "assignment": rep.assignment,
+              "report": rep.to_dict()}
+    cli_text = cli.render_verify_text({"system": "YBE", "samples": [sample], "verified": ok})
+    assert [rep.to_text().count("\n    ("), cli_text.count("\n    (")] == [32, 4]
