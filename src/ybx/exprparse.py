@@ -22,12 +22,11 @@ Each rule returns the exact scalar value of the text it consumed.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from .errors import DivisionByZero, ExprSyntaxError, NonIntegerExponent
-from .scalar import (GaussianRational, Polynomial, RationalFunction, _lift, is_zero,
-                     lowest, power)
+from .scalar import (ONE, ZERO, GaussianRational, Polynomial, RationalFunction, _lift,
+                     is_zero, lowest, power)
 
 _ATOM_EXPECTED = ("number", "identifier", "'i'", "'('", "'-'")
 MAX_DEPTH = 100
@@ -155,7 +154,9 @@ class _Parser:
         kind = tok[0]
         if kind == "int":
             self.take()
-            return GaussianRational(Fraction(_literal(tok)))
+            n = _literal(tok)
+            # shared constants: the many 0 and 1 cells of a matrix hold no value each
+            return ZERO if n == 0 else ONE if n == 1 else GaussianRational(n)
         if kind == "i":
             self.take()
             return GaussianRational(0, 1)

@@ -65,6 +65,9 @@ Monomial = tuple
 
 
 def _mono_mul(a, b):
+    """Product of two monomials.  A pair taken over unchanged is the
+    factor's own tuple, not a copy, so the many monomials of a large
+    product share their pairs."""
     if not a:
         return b
     if not b:
@@ -75,10 +78,10 @@ def _mono_mul(a, b):
         va, ea = a[i]
         vb, eb = b[j]
         if va < vb:
-            merged.append((va, ea))
+            merged.append(a[i])
             i += 1
         elif vb < va:
-            merged.append((vb, eb))
+            merged.append(b[j])
             j += 1
         else:
             e = ea + eb
@@ -533,12 +536,12 @@ def invert(x):
 
 
 def gaussian_integers(values):
-    """The GaussianRationals ``values`` times the least common multiple of
-    their denominators, as (re, im) pairs of ints.  One positive factor
-    scales them all, so a row keeps its nullspace and a matrix its zero
-    entries."""
+    """(d, pairs): d is the least common multiple of the denominators of
+    the GaussianRationals ``values``, and pairs are the values times d, as
+    (re, im) pairs of ints.  One positive factor scales them all, so a row
+    keeps its nullspace and a matrix its zero entries."""
     d = lcm(*(g.d for g in values))
-    return [(g.a * (d // g.d), g.b * (d // g.d)) for g in values]
+    return d, [(g.a * (d // g.d), g.b * (d // g.d)) for g in values]
 
 
 def lowest(x):

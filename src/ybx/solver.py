@@ -79,7 +79,7 @@ def _gaussian_integer_rows(rows):
                 return None
             if x.a or x.b:
                 cols.append(c)
-        out.append(list(zip(cols, gaussian_integers([row[c] for c in cols]))))
+        out.append(list(zip(cols, gaussian_integers([row[c] for c in cols])[1])))
     return out
 
 
@@ -124,7 +124,7 @@ def _annihilates(basis, sparse):
     by_col = {}         # column -> [(basis index, (re, im))]
     for j, v in enumerate(basis):
         cols = [c for c, x in enumerate(v) if not x.is_zero()]
-        for c, g in zip(cols, gaussian_integers([v[c] for c in cols])):
+        for c, g in zip(cols, gaussian_integers([v[c] for c in cols])[1]):
             by_col.setdefault(c, []).append((j, g))
     for row in sparse:
         acc = {}

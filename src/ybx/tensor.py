@@ -7,13 +7,13 @@ i1*N^2 + i2*N + i3 with leg 1 most significant; matrices are row-major.
 
 from __future__ import annotations
 
-from math import isqrt
+from math import isqrt, prod
 
 from . import exprparse
 from .errors import (DimensionMismatch, DivisionByZero, ExprSyntaxError, NotInvertible,
                      UnsupportedTransform, ZeroScale, prefixed)
-from .scalar import (ZERO, ONE, GaussianRational, Polynomial,
-                     as_scalar, invert, is_zero, scalar_str, var_id, var_name)
+from .scalar import (ZERO, ONE, GaussianRational, Polynomial, _reduced, as_scalar,
+                     gaussian_integers, invert, is_zero, scalar_str, var_id, var_name)
 
 
 class SquareMatrix:
@@ -122,16 +122,18 @@ class SquareMatrix:
                    for row in self.rows for a in row)
 
     def det(self):
-        """Exact determinant (cofactor expansion for n <= 4, the pivot
-        product of an elimination beyond)."""
+        """Exact determinant: cofactor expansion for n <= 4, the
+        determinant ``rref`` returns beyond (fraction-free over Z[i] for
+        GaussianRational entries), or zero when the rank is short."""
         if self.dim <= 4:
             return _det_cofactor(self.rows)
         pivots, det = rref([row[:] for row in self.rows], self.dim)
         return det if len(pivots) == self.dim else ZERO
 
     def inverse(self):
-        """Exact inverse; adjugate/determinant for n <= 4, elimination of
-        [M | I] beyond.  Raises NotInvertible when the determinant is zero."""
+        """Exact inverse: adjugate over determinant for n <= 4, ``rref``
+        of [M | I] beyond (fraction-free over Z[i] for GaussianRational
+        entries).  Raises NotInvertible when the determinant is zero."""
         n = self.dim
         if n > 4:
             aug = [row + [ONE if i == j else ZERO for j in range(n)]
@@ -182,10 +184,18 @@ def _cofactor(rows, i, j):
 
 
 def rref(rows, ncols):
-    """In-place reduced row echelon form; returns (pivot column list,
-    product of the pivots taken, negated once per row swap).  For a square
-    input of full rank that product is the determinant.  Entries may be
-    any scalars from the tower (exact field arithmetic)."""
+    """In-place reduced row echelon form of ``rows`` over their first
+    ``ncols`` columns (a row may be wider, as in [M | I]); returns (pivot
+    column list, determinant).  The determinant is defined for square
+    input of full rank only, which is the only case ``det`` reads it.
+
+    When every entry is a GaussianRational, the rows are eliminated
+    fraction-free over Z[i] (``_rref_gaussian``).  Other entries, from
+    anywhere in the tower, are eliminated with exact field arithmetic,
+    and the determinant is the product of the pivots taken, negated once
+    per row swap."""
+    if all(type(x) is GaussianRational for row in rows for x in row):
+        return _rref_gaussian(rows, ncols)
     pivots = []
     det = ONE
     r = 0
@@ -210,6 +220,66 @@ def rref(rows, ncols):
         pivots.append(c)
         r += 1
     return pivots, det
+
+
+def _rref_gaussian(rows, ncols):
+    """``rref`` of GaussianRational rows by fraction-free Gauss-Jordan over
+    Z[i] (Bareiss, Math. Comp. 22, 1968).
+
+    Each row is scaled to Gaussian integers and kept as its nonzero
+    columns.  At each pivot p every other row becomes (p*row - f*pivot
+    row) / q, where f is its entry in the pivot column and q the previous
+    pivot; the division is exact.  Every row is then the last pivot D
+    times its field-reduced form, so the result is each row over D, and
+    over its own scale too for a row past the rank, which no pivot
+    normalised.  The determinant is +-D over the product of the scales."""
+    work, scales = [], []
+    for row in rows:
+        cols = [c for c, x in enumerate(row) if x.a or x.b]
+        s, ints = gaussian_integers([row[c] for c in cols])
+        work.append(dict(zip(cols, ints)))
+        scales.append(s)
+    pivots = []
+    sign = 1
+    qa, qb = 1, 0               # the previous pivot
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((k for k in range(r, len(work)) if c in work[k]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            work[r], work[piv] = work[piv], work[r]
+            scales[r], scales[piv] = scales[piv], scales[r]
+            sign = -sign
+        prow = work[r]
+        pa, pb = prow[c]
+        n = qa * qa + qb * qb
+        for k, row in enumerate(work):
+            f = row.get(c)
+            if k == r or (f is None and pa == qa and pb == qb):
+                continue
+            new = {j: (pa * xa - pb * xb, pa * xb + pb * xa) for j, (xa, xb) in row.items()}
+            if f is not None:
+                fa, fb = f
+                for j, (ya, yb) in prow.items():
+                    za, zb = new.get(j, (0, 0))
+                    new[j] = (za - fa * ya + fb * yb, zb - fa * yb - fb * ya)
+            # x / q is x * conj(q) // N(q), exact in Z[i]
+            if qb:
+                work[k] = {j: ((xa * qa + xb * qb) // n, (xb * qa - xa * qb) // n)
+                           for j, (xa, xb) in new.items() if xa or xb}
+            else:
+                work[k] = {j: (xa // qa, xb // qa) for j, (xa, xb) in new.items() if xa or xb}
+        qa, qb = pa, pb
+        pivots.append(c)
+    n = qa * qa + qb * qb
+    for k, row in enumerate(work):
+        d = n if k < len(pivots) else n * scales[k]
+        out = [ZERO] * len(rows[k])
+        for j, (xa, xb) in row.items():
+            out[j] = _reduced(xa * qa + xb * qb, xb * qa - xa * qb, d)
+        rows[k] = out
+    return pivots, _reduced(sign * qa, sign * qb, prod(scales))
 
 
 # ---------------------------------------------------------------------------

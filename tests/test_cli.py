@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -245,6 +246,14 @@ def test_solve_z_json_matches_golden(capsys, tmp_path, monkeypatch):
     assert len(golden["cases"]) == 4
     for case in golden["cases"]:
         assert run(capsys, *case["argv"]) == (0, case["stdout"], "")
+
+
+def test_solve_z_dense_dim_9_bytes(capsys):
+    """The dense dim-9 X whose 729x81 system has rank 80, byte for byte."""
+    code, out, err = run(capsys, "solve-z", "--X", "random[dim=9,seed=4]", "--json")
+    assert (code, err, len(out.encode())) == (0, "", 387)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d022583bcd845a23c285cd78f58749e998c536163c70277e06a64d67d0c76880")
 
 
 def test_verify_json_round_trips_to_text(capsys):

@@ -175,19 +175,50 @@ def test_generic_sampling_dimension_agreement():
 
 
 # ---------------------------------------------------------------------------
-# rows selected mod p, certified exactly
+# exact elimination: rref against a reference, rows selected mod p
+
+def _pair_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _pair_rref(rows, ncols):
+    """(pivots, determinant, reduced rows) by Gauss-Jordan over (re, im)
+    pairs of Fractions, as rref's field path does it, independently of
+    ybx's elimination and scalar arithmetic."""
+    work = [[(x.re, x.im) for x in row] for row in rows]
+    pivots, det = [], (Fraction(1), Fraction(0))
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((k for k in range(r, len(work)) if work[k][c] != (0, 0)), None)
+        if piv is None:
+            continue
+        if piv != r:
+            work[r], work[piv] = work[piv], work[r]
+            det = (-det[0], -det[1])
+        pa, pb = work[r][c]
+        det = _pair_mul(det, (pa, pb))
+        n = pa * pa + pb * pb
+        work[r] = [_pair_mul(x, (pa / n, -pb / n)) for x in work[r]]
+        for k, row in enumerate(work):
+            f = row[c]
+            if k != r and f != (0, 0):
+                work[k] = [(x[0] - g[0], x[1] - g[1])
+                           for x, g in zip(row, (_pair_mul(f, y) for y in work[r]))]
+        pivots.append(c)
+    return (pivots, GaussianRational(*det),
+            [[GaussianRational(a, b) for a, b in row] for row in work])
+
 
 def _rref_nullspace(rows, ncols):
-    """Basis and rank read off rref on all rows: the answer the rows
-    selected mod p must reproduce."""
-    work = [row[:] for row in rows]
-    pivots, _ = rref(work, ncols)
+    """Basis and rank read off the reference rref on all rows: the answer
+    the rows selected mod p must reproduce."""
+    pivots, _, reduced = _pair_rref(rows, ncols)
     basis = []
     for f in (c for c in range(ncols) if c not in pivots):
         v = [ZERO] * ncols
         v[f] = ONE
         for ri, pc in enumerate(pivots):
-            v[pc] = -work[ri][f]
+            v[pc] = -reduced[ri][f]
         basis.append(v)
     return basis, len(pivots)
 
@@ -230,6 +261,40 @@ def _systems(draw):
     if rows and draw(st.booleans()):
         rows.append(list(draw(st.sampled_from(rows))))
     return draw(st.permutations(rows)), ncols
+
+
+@st.composite
+def _rref_inputs(draw):
+    """(rows, ncols) for rref: square matrices, often of full rank, or any
+    number of rows, none included, that may be wider than ncols; zero and
+    duplicate rows in either."""
+    entry = _ENTRIES[draw(st.sampled_from(sorted(_ENTRIES)))]
+    ncols = draw(st.integers(1, 6))
+    square = draw(st.booleans())
+    width = ncols if square else ncols + draw(st.integers(0, 3))
+    nrows = ncols if square else draw(st.integers(0, 8))
+    rows = [[draw(entry) for _ in range(width)] for _ in range(nrows)]
+    if rows:
+        for k in draw(st.lists(st.integers(0, nrows - 1), max_size=2)):
+            rows[k] = [ZERO] * width if draw(st.booleans()) else list(draw(st.sampled_from(rows)))
+    return rows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rref_inputs())
+def test_rref_agrees_with_the_pair_reference(system):
+    """Pivots, every reduced row and, for square input of full rank, the
+    determinant, whatever the pivots (Gaussian, negative, real), the
+    denominators and the row swaps."""
+    rows, ncols = system
+    want_pivots, want_det, want_rows = _pair_rref(rows, ncols)
+    work = [row[:] for row in rows]
+    pivots, det = rref(work, ncols)
+    assert pivots == want_pivots
+    assert [[str(x) for x in row] for row in work] == [[str(x) for x in row]
+                                                       for row in want_rows]
+    if len(rows) == ncols == len(pivots) and all(len(row) == ncols for row in rows):
+        assert det == want_det != 0
 
 
 @pytest.mark.parametrize("prime", [solver._PRIME, 5])

@@ -217,7 +217,7 @@ def test_inverse_of_a_one_by_one_matrix():
 
 
 def test_inverse_beyond_adjugate_size():
-    for n in (5, 9):
+    for n in (5, 6, 9):
         A = random_matrix(n, 123)
         try:
             Ai = A.inverse()
@@ -241,6 +241,21 @@ def test_det_beyond_cofactor_size():
     assert SquareMatrix(swapped).det() == -A.det() != 0
     assert (A * B).det() == A.det() * B.det()
     assert A.det() * A.inverse().det() == 1
+
+
+def _gaussian_matrix(n, seed):
+    """An n x n matrix of Gaussian rationals with mixed denominators."""
+    rng = random.Random(seed)
+    return SquareMatrix([[GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+                                           Fraction(rng.randint(-3, 3), rng.randint(1, 6)))
+                          for _ in range(n)] for _ in range(n)])
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_det_and_inverse_of_gaussian_entries(n):
+    A = _gaussian_matrix(n, n)
+    assert A.det() == _det_cofactor(A.rows) != 0
+    assert A * A.inverse() == SquareMatrix.identity(n)
 
 
 # ---------------------------------------------------------------------------
