@@ -93,8 +93,13 @@ class _MatrixSpec:
         parameters, a random admissible point is sampled from ``rng``
         unless ``symbolic`` keeps them symbolic."""
         if self.kind == "file":
-            with open(self.path) as fh:
-                matrix, _ = matrix_from_text(fh.read())
+            try:
+                with open(self.path, encoding="utf-8") as fh:
+                    text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ValueError("%s: byte 0x%02x at offset %d is not UTF-8"
+                                 % (self.path, exc.object[exc.start], exc.start)) from None
+            matrix, _ = matrix_from_text(text)
             return matrix, "file:%s" % self.path
         if self.kind == "random":
             return random_matrix(self.dim, self.seed), \

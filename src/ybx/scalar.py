@@ -535,13 +535,14 @@ def invert(x):
     return x.inv()
 
 
-def gaussian_integers(values):
-    """(d, pairs): d is the least common multiple of the denominators of
-    the GaussianRationals ``values``, and pairs are the values times d, as
-    (re, im) pairs of ints.  One positive factor scales them all, so a row
-    keeps its nullspace and a matrix its zero entries."""
-    d = lcm(*(g.d for g in values))
-    return d, [(g.a * (d // g.d), g.b * (d // g.d)) for g in values]
+def gaussian_integers(row):
+    """(d, scaled): d is the least common multiple of the denominators of
+    the GaussianRationals in the {column: value} ``row``, and scaled maps
+    the column of each nonzero value to that value times d, as an (re, im)
+    pair of ints.  One positive factor scales them all, so a row keeps its
+    nullspace and a matrix its zero entries."""
+    d = lcm(*(g.d for g in row.values()))
+    return d, {c: (g.a * (d // g.d), g.b * (d // g.d)) for c, g in row.items() if g.a or g.b}
 
 
 def lowest(x):

@@ -6,7 +6,6 @@ the symmetry-orbit engine, and the braided-group-to-double constructor.
 from __future__ import annotations
 
 import random
-from bisect import insort
 from dataclasses import dataclass
 
 from . import exprparse
@@ -14,127 +13,38 @@ from .errors import (DimensionMismatch, InputNotQbgSolution, NotInvertible,
                      SymbolicInput, YbxError)
 from .scalar import (ZERO, ONE, GaussianRational, Polynomial, as_scalar,
                      gaussian_integers, is_zero, lowest, scalar_str)
-from .tensor import (SquareMatrix, _local_dim, conjugate, embed, rref, transform,
-                     ybc_const)
+from .tensor import (SquareMatrix, _bareiss, _local_dim, _over, conjugate, embed,
+                     transform, ybc_const)
+from .tensor import rref  # perfbench/tracing.py traces the span solver.rref by this name
 from .systems import SYSTEMS, verify
 
 
 # ---------------------------------------------------------------------------
 # exact linear algebra over the scalar field
 
-# Rows are selected in F_p.  p = 1 (mod 4), so i has an image there: 3
-# generates the units mod p, and its ((p-1)/4)-th power squares to -1.
-_PRIME = 998244353
-
-
 def nullspace(rows, ncols):
-    """Echelon-normalized nullspace basis of the column space relation
-    rows * x = 0; returns (basis vectors, rank).
+    """Echelon-normalized nullspace basis of rows * x = 0, for rows given
+    as {column: GaussianRational} dicts; returns (basis vectors, rank).
 
-    For GaussianRational rows the rows are first selected mod p: each row
-    is scaled to Gaussian integers and kept when it is independent mod p
-    of the rows kept before it.  ``rref`` reduces the kept rows only, and
-    the basis is certified exactly: every basis vector must annihilate
-    every row of the full system.  Then both have one nullspace, hence one
-    reduced echelon form, and the answer equals that of ``rref`` on all
-    rows.  When a check fails (an unlucky prime), or an entry is not a
-    GaussianRational, ``rref`` runs on all rows."""
-    sparse = _gaussian_integer_rows(rows)
-    if sparse is not None:
-        work = [rows[k][:] for k in _independent_mod_p(sparse, ncols)]
-        pivots, _ = rref(work, ncols)
-        basis = _basis(work, pivots, ncols)
-        if _annihilates(basis, sparse):
-            return basis, len(pivots)
-    work = [row[:] for row in rows]
-    pivots, _ = rref(work, ncols)
-    return _basis(work, pivots, ncols), len(pivots)
-
-
-def _basis(reduced, pivots, ncols):
-    """Nullspace basis read off a reduced row echelon form: one vector
-    per free column, in column order."""
+    Each row is scaled to Gaussian integers and the rows go through one
+    fraction-free pass, ``_bareiss``, which keeps each independent row as
+    D times its reduced form.  The basis has one vector per free column f,
+    in column order: 1 at f and -kept[pc][f] / D at each pivot column pc.
+    Every division is exact and no step is probabilistic, so this is the
+    basis read off the reduced row echelon form of all the rows."""
+    kept, _, d = _bareiss([gaussian_integers(row)[1] for row in rows], ncols)
     basis = []
     for f in range(ncols):
-        if f in pivots:
+        if f in kept:
             continue
         v = [ZERO] * ncols
         v[f] = ONE
-        for ri, pc in enumerate(pivots):
-            x = reduced[ri][f]
-            if not x.is_zero():
-                v[pc] = -x
+        for pc, row in kept.items():
+            if f in row:
+                xa, xb = row[f]
+                v[pc] = _over((-xa, -xb), d)
         basis.append(v)
-    return basis
-
-
-def _gaussian_integer_rows(rows):
-    """Each row as its nonzero (column, (re, im)) pairs over Z[i], scaled
-    by gaussian_integers; None when an entry is not a GaussianRational."""
-    out = []
-    for row in rows:
-        cols = []
-        for c, x in enumerate(row):
-            if type(x) is not GaussianRational:
-                return None
-            if x.a or x.b:
-                cols.append(c)
-        out.append(list(zip(cols, gaussian_integers([row[c] for c in cols])[1])))
-    return out
-
-
-def _independent_mod_p(sparse, ncols):
-    """Indices of the rows kept by an incremental echelon form mod p: a
-    row is kept when it does not reduce to zero against the rows kept
-    before it.  Stops at ncols kept rows."""
-    p = _PRIME
-    i_mod_p = pow(3, (p - 1) // 4, p)
-    echelon = {}        # pivot column -> kept row mod p, 1 at the pivot, 0 left of it
-    order = []          # pivot columns, ascending
-    kept = []
-    for k, row in enumerate(sparse):
-        x = {}
-        for c, (re, im) in row:
-            v = (re + im * i_mod_p) % p
-            if v:
-                x[c] = v
-        for pc in order:
-            f = x.get(pc)
-            if f:
-                for c, v in echelon[pc].items():
-                    v = (x.get(c, 0) - f * v) % p
-                    if v:
-                        x[c] = v
-                    else:
-                        x.pop(c, None)
-        if x:
-            pc = min(x)
-            inv = pow(x[pc], p - 2, p)
-            echelon[pc] = {c: v * inv % p for c, v in x.items()}
-            insort(order, pc)
-            kept.append(k)
-            if len(kept) == ncols:
-                break
-    return kept
-
-
-def _annihilates(basis, sparse):
-    """Exact check that every basis vector has a zero dot product with
-    every row, in Z[i] over the nonzeros only."""
-    by_col = {}         # column -> [(basis index, (re, im))]
-    for j, v in enumerate(basis):
-        cols = [c for c, x in enumerate(v) if not x.is_zero()]
-        for c, g in zip(cols, gaussian_integers([v[c] for c in cols])[1]):
-            by_col.setdefault(c, []).append((j, g))
-    for row in sparse:
-        acc = {}
-        for c, (a, b) in row:
-            for j, (x, y) in by_col.get(c, ()):
-                re, im = acc.get(j, (0, 0))
-                acc[j] = (re + a * x - b * y, im + a * y + b * x)
-        if any(re or im for re, im in acc.values()):
-            return False
-    return True
+    return basis, len(kept)
 
 
 @dataclass
@@ -155,7 +65,7 @@ class SolutionSpace:
 
     def contains(self, M: SquareMatrix) -> bool:
         """Exact membership without elimination.  Each basis vector has a
-        free column, where it is 1 and every other vector is 0 (as ``_basis``
+        free column, where it is 1 and every other vector is 0 (as ``nullspace``
         builds them), so M is in the span exactly when it equals the sum
         over the basis of M[free column] * vector.  ValueError when a vector
         has no free column."""
@@ -180,16 +90,16 @@ def solve_z_linear(X: SquareMatrix) -> SolutionSpace:
     otherwise).  Its dim must be a perfect square (DimensionMismatch
     otherwise).  The basis is echelon-normalized with deterministic pivot
     order, and rank + dim = (dim of X)^2 by construction.  Constant
-    entries are lowered to GaussianRationals, so ``nullspace`` selects the
-    rows mod p, reduces only those, certifies the basis exactly against
-    every row and falls back to ``rref`` on all rows when a check fails.
+    entries are lowered to GaussianRationals, and each equation is built
+    as a sparse {column: GaussianRational} row for the one exact pass of
+    ``nullspace``.
     """
     if not X.is_numeric():
         raise SymbolicInput(
             "solve_z_linear needs numeric entries; substitute parameters first")
     X = SquareMatrix([[lowest(a) for a in row] for row in X.rows])
     n2 = X.dim
-    N = _local_dim(X)
+    N = _local_dim(X, "X")
     X12, X13 = embed(X, (1, 2)), embed(X, (1, 3))
     M1 = X12 * X13
     M2 = X13 * X12
@@ -202,7 +112,7 @@ def solve_z_linear(X: SquareMatrix) -> SolutionSpace:
         m1row = M1.rows[r]
         for c in range(N ** 3):
             b, y = divmod(c, n2)
-            row = [ZERO] * (n2 * n2)
+            row = {}
             for k in range(n2):
                 v = m1row[b * n2 + k]
                 if not v.is_zero():
@@ -210,7 +120,8 @@ def solve_z_linear(X: SquareMatrix) -> SolutionSpace:
             for l in range(n2):
                 v = M2.rows[a * n2 + l][c]
                 if not v.is_zero():
-                    row[x * n2 + l] = row[x * n2 + l] - v
+                    col = x * n2 + l
+                    row[col] = row[col] - v if col in row else -v
             rows.append(row)
     vecs, rank = nullspace(rows, n2 * n2)
     basis = []
@@ -346,7 +257,7 @@ def apply_transform(triple, spec: TransformSpec):
                                     % (role, mat.dim, W.dim))
     if spec.t_mat is not None or spec.s_mat is not None or any(
             v is not None for v in (spec.omega, spec.xi, spec.zeta)):
-        N = _local_dim(W)
+        N = _local_dim(W, "W")
         for role, mat in (("T", spec.t_mat), ("S", spec.s_mat)):
             if mat is not None and mat.dim != N:
                 raise DimensionMismatch("role %s has dim %d, but the triple needs dim %d"

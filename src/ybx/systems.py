@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from itertools import product
-from math import isqrt
 
 from .errors import (DimensionMismatch, MissingRole, NotInvertible,
                      RoleKindMismatch, UnknownName, UnsupportedTransform)
 from .scalar import scalar_str
-from .tensor import ColourMatrix, SquareMatrix, transform, ybc_colour, ybc_const
+from .tensor import (ColourMatrix, SquareMatrix, _local_dim, transform, ybc_colour,
+                     ybc_const)
 
 WITNESS_CAP = 32
 
@@ -227,6 +227,7 @@ def residual(sysdef, assignment, provenance=None) -> ResidualReport:
             raise DimensionMismatch("role %s has dim %d, but role %s has dim %d"
                                     % (role, assignment[role].dim,
                                        first, assignment[first].dim))
+    N = _local_dim(assignment[first], first)
     report = ResidualReport(sysdef.name,
                             {r: (provenance or {}).get(r) or
                                 describe_matrix(assignment[r])
@@ -242,7 +243,6 @@ def residual(sysdef, assignment, provenance=None) -> ResidualReport:
     for eq in sysdef.equations:
         ybc = _KINDS[eq.kind][1]
         A, B, C = (tagged(role, tag) for role, tag in eq.triple)
-        N = isqrt(A.dim)
         if eq.kind == "family":
             count, wit = 0, []
             for J1, J2, J3 in product(range(A.N), repeat=3):

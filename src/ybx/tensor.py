@@ -122,22 +122,43 @@ class SquareMatrix:
                    for row in self.rows for a in row)
 
     def det(self):
-        """Exact determinant: cofactor expansion for n <= 4, the
-        determinant ``rref`` returns beyond (fraction-free over Z[i] for
-        GaussianRational entries), or zero when the rank is short."""
-        if self.dim <= 4:
+        """Exact determinant: cofactor expansion for n <= 4.  Beyond, for
+        GaussianRational entries, the fraction-free pass ``_bareiss`` on
+        the rows scaled to Z[i]: its last pivot D is the determinant of
+        the scaled rows in the pivot columns' order of discovery, so the
+        determinant is +-D over the product of the row scales.  Other
+        entries go through ``rref``.  Zero when the rank is short."""
+        n = self.dim
+        if n <= 4:
             return _det_cofactor(self.rows)
-        pivots, det = rref([row[:] for row in self.rows], self.dim)
-        return det if len(pivots) == self.dim else ZERO
+        if _all_gaussian(self.rows):
+            scales, rows = zip(*(gaussian_integers(dict(enumerate(row))) for row in self.rows))
+            _, order, (da, db) = _bareiss(rows, n)
+            if len(order) < n:
+                return ZERO
+            if sum(a > b for k, a in enumerate(order) for b in order[k + 1:]) % 2:
+                da, db = -da, -db
+            return _reduced(da, db, prod(scales))
+        pivots, det = rref([row[:] for row in self.rows], n)
+        return det if len(pivots) == n else ZERO
 
     def inverse(self):
-        """Exact inverse: adjugate over determinant for n <= 4, ``rref``
-        of [M | I] beyond (fraction-free over Z[i] for GaussianRational
-        entries).  Raises NotInvertible when the determinant is zero."""
+        """Exact inverse: adjugate over determinant for n <= 4.  Beyond,
+        [M | I] is reduced to [I | M^-1]: for GaussianRational entries by
+        ``_bareiss``, whose kept rows are D times the reduced ones, so the
+        inverse is their right half over D; for other entries by ``rref``.
+        Raises NotInvertible when the determinant is zero."""
         n = self.dim
         if n > 4:
             aug = [row + [ONE if i == j else ZERO for j in range(n)]
                    for i, row in enumerate(self.rows)]
+            if _all_gaussian(self.rows):
+                kept, order, d = _bareiss([gaussian_integers(dict(enumerate(row)))[1]
+                                           for row in aug], n)
+                if len(order) < n:
+                    raise NotInvertible("determinant is zero")
+                return SquareMatrix([[_over(kept[i][n + j], d) if n + j in kept[i] else ZERO
+                                      for j in range(n)] for i in range(n)])
             if len(rref(aug, n)[0]) < n:
                 raise NotInvertible("determinant is zero")
             return SquareMatrix([row[n:] for row in aug])
@@ -185,17 +206,13 @@ def _cofactor(rows, i, j):
 
 def rref(rows, ncols):
     """In-place reduced row echelon form of ``rows`` over their first
-    ``ncols`` columns (a row may be wider, as in [M | I]); returns (pivot
-    column list, determinant).  The determinant is defined for square
-    input of full rank only, which is the only case ``det`` reads it.
-
-    When every entry is a GaussianRational, the rows are eliminated
-    fraction-free over Z[i] (``_rref_gaussian``).  Other entries, from
-    anywhere in the tower, are eliminated with exact field arithmetic,
-    and the determinant is the product of the pivots taken, negated once
-    per row swap."""
-    if all(type(x) is GaussianRational for row in rows for x in row):
-        return _rref_gaussian(rows, ncols)
+    ``ncols`` columns (a row may be wider, as in [M | I]) with exact field
+    arithmetic, for entries anywhere in the tower; returns (pivot column
+    list, determinant).  The determinant is the product of the pivots
+    taken, negated once per row swap; it is defined for square input of
+    full rank only, which is the only case ``det`` reads it.  ``det`` and
+    ``inverse`` of GaussianRational matrices, and ``solver.nullspace``,
+    eliminate with ``_bareiss`` instead."""
     pivots = []
     det = ONE
     r = 0
@@ -222,64 +239,70 @@ def rref(rows, ncols):
     return pivots, det
 
 
-def _rref_gaussian(rows, ncols):
-    """``rref`` of GaussianRational rows by fraction-free Gauss-Jordan over
-    Z[i] (Bareiss, Math. Comp. 22, 1968).
+def _all_gaussian(rows):
+    return all(type(x) is GaussianRational for row in rows for x in row)
 
-    Each row is scaled to Gaussian integers and kept as its nonzero
-    columns.  At each pivot p every other row becomes (p*row - f*pivot
-    row) / q, where f is its entry in the pivot column and q the previous
-    pivot; the division is exact.  Every row is then the last pivot D
-    times its field-reduced form, so the result is each row over D, and
-    over its own scale too for a row past the rank, which no pivot
-    normalised.  The determinant is +-D over the product of the scales."""
-    work, scales = [], []
+
+def _bareiss(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination over Z[i] (Bareiss, Math.
+    Comp. 22, 1968), one row at a time.
+
+    Each row is a {column: (re, im)} dict of its nonzero Gaussian-integer
+    entries, and may reach past ``ncols``, as in [M | I].  Each
+    independent row is kept as D times its reduced form, where D is the
+    last pivot: D at its own pivot column and 0 at the others.  A new row
+    x becomes D*x - sum over the pivot columns pc of x[pc]*kept[pc], and
+    is dropped when that is zero on the first ``ncols`` columns.
+    Otherwise its first nonzero column c there takes the next pivot p, and
+    every kept row becomes (p*row - row[c]*x) / D, which divides exactly.
+    No step guesses, so the kept rows over D are the reduced row echelon
+    form of all the rows.  Stops once ``ncols`` rows are kept.
+
+    Returns (kept rows by pivot column, the pivot columns in the order
+    they were found, D as an (re, im) pair)."""
+    kept, order = {}, []
+    da, db = 1, 0
     for row in rows:
-        cols = [c for c, x in enumerate(row) if x.a or x.b]
-        s, ints = gaussian_integers([row[c] for c in cols])
-        work.append(dict(zip(cols, ints)))
-        scales.append(s)
-    pivots = []
-    sign = 1
-    qa, qb = 1, 0               # the previous pivot
-    for c in range(ncols):
-        r = len(pivots)
-        piv = next((k for k in range(r, len(work)) if c in work[k]), None)
-        if piv is None:
+        x = {j: (da * xa - db * xb, da * xb + db * xa) for j, (xa, xb) in row.items()}
+        for pc, (fa, fb) in row.items():
+            if pc in kept:
+                for j, (ka, kb) in kept[pc].items():
+                    za, zb = x.get(j, (0, 0))
+                    x[j] = (za - fa * ka + fb * kb, zb - fa * kb - fb * ka)
+        x = {j: z for j, z in x.items() if z[0] or z[1]}
+        c = min((j for j in x if j < ncols), default=None)
+        if c is None:
             continue
-        if piv != r:
-            work[r], work[piv] = work[piv], work[r]
-            scales[r], scales[piv] = scales[piv], scales[r]
-            sign = -sign
-        prow = work[r]
-        pa, pb = prow[c]
-        n = qa * qa + qb * qb
-        for k, row in enumerate(work):
-            f = row.get(c)
-            if k == r or (f is None and pa == qa and pb == qb):
+        pa, pb = x[c]
+        n = da * da + db * db
+        for pc, krow in kept.items():
+            f = krow.get(c)
+            if f is None and pa == da and pb == db:
                 continue
-            new = {j: (pa * xa - pb * xb, pa * xb + pb * xa) for j, (xa, xb) in row.items()}
+            new = {j: (pa * ka - pb * kb, pa * kb + pb * ka) for j, (ka, kb) in krow.items()}
             if f is not None:
                 fa, fb = f
-                for j, (ya, yb) in prow.items():
+                for j, (ya, yb) in x.items():
                     za, zb = new.get(j, (0, 0))
                     new[j] = (za - fa * ya + fb * yb, zb - fa * yb - fb * ya)
-            # x / q is x * conj(q) // N(q), exact in Z[i]
-            if qb:
-                work[k] = {j: ((xa * qa + xb * qb) // n, (xb * qa - xa * qb) // n)
-                           for j, (xa, xb) in new.items() if xa or xb}
+            # z / D is z * conj(D) // N(D), exact in Z[i]
+            if db:
+                kept[pc] = {j: ((za * da + zb * db) // n, (zb * da - za * db) // n)
+                            for j, (za, zb) in new.items() if za or zb}
             else:
-                work[k] = {j: (xa // qa, xb // qa) for j, (xa, xb) in new.items() if xa or xb}
-        qa, qb = pa, pb
-        pivots.append(c)
-    n = qa * qa + qb * qb
-    for k, row in enumerate(work):
-        d = n if k < len(pivots) else n * scales[k]
-        out = [ZERO] * len(rows[k])
-        for j, (xa, xb) in row.items():
-            out[j] = _reduced(xa * qa + xb * qb, xb * qa - xa * qb, d)
-        rows[k] = out
-    return pivots, _reduced(sign * qa, sign * qb, prod(scales))
+                kept[pc] = {j: (za // da, zb // da) for j, (za, zb) in new.items() if za or zb}
+        kept[c] = x
+        order.append(c)
+        da, db = pa, pb
+        if len(order) == ncols:
+            break
+    return kept, order, (da, db)
+
+
+def _over(x, d):
+    """The GaussianRational x / d of two Gaussian integers (re, im), d nonzero."""
+    (xa, xb), (da, db) = x, d
+    return _reduced(xa * da + xb * db, xb * da - xa * db, da * da + db * db)
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +366,12 @@ def embed(M: SquareMatrix, legs) -> SquareMatrix:
     return m
 
 
-def _local_dim(mat: SquareMatrix) -> int:
+def _local_dim(mat: SquareMatrix, role=None) -> int:
+    """N for a matrix of dim N^2; the error names ``role`` when given."""
     N = isqrt(mat.dim)
     if N * N != mat.dim:
-        raise DimensionMismatch("dim %d is not a perfect square" % mat.dim)
+        raise DimensionMismatch("%sdim %d is not a perfect square"
+                                % ("role %s: " % role if role else "", mat.dim))
     return N
 
 

@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -155,6 +157,12 @@ def test_verify_usage_errors(capsys):
     (["verify", "ybe", "--R", "catalog:W[q=0]"], "error: W: constraint violated: q != 0"),
     (["verify", "ybe", "--R", "random[dim=4,seed=x]"],
      "error: random dim and seed must be integers: 'random[dim=4,seed=x]'"),
+    (["verify", "ybe", "--R", "file:@TMP/latin1.mat"],
+     "error: --R: @TMP/latin1.mat: byte 0xe9 at offset 11 is not UTF-8"),
+    (["verify", "ybe", "--R", "file:@TMP/d2.mat"], "error: role R: dim 2 is not a perfect square"),
+    (["solve-z", "--X", "file:@TMP/d2.mat"], "error: role X: dim 2 is not a perfect square"),
+    (["verify", "qdouble", "--W", "file:@TMP/d2.mat", "--X", "file:@TMP/d2.mat",
+      "--Z", "file:@TMP/d2.mat"], "error: role W: dim 2 is not a perfect square"),
 ], ids=["samples-0", "dim-0", "dim-3", "mixed-dims", "3x3-T",
         "const-in-colour", "const-in-family", "colour-to-solve-z", "colour-to-orbit",
         "non-square-triple", "orbit-mixed-dims", "orbit-mixed-dims-check",
@@ -166,7 +174,8 @@ def test_verify_usage_errors(capsys):
         "option-before-positional", "dir-outside-export", "no-command", "unknown-command",
         "file-cell-syntax", "file-row-shape", "pin-syntax", "scale-syntax", "long-literal",
         "long-printed-integer", "samples-too-many", "zero-divisor-scale", "zero-divisor-pin",
-        "zero-divisor-file", "zero-divisor-sampled", "random-seed-not-int"])
+        "zero-divisor-file", "zero-divisor-sampled", "random-seed-not-int", "file-not-utf8",
+        "verify-dim-2", "solve-z-dim-2", "qdouble-dim-2"])
 def test_specification_errors_exit_2(capsys, tmp_path, argv, message):
     # a bad cell, then a short row, on line 3 after a blank or comment line
     (tmp_path / "bad-cell.mat").write_text("dim 2\n\n(q, 0\n0, 1\n")
@@ -174,12 +183,28 @@ def test_specification_errors_exit_2(capsys, tmp_path, argv, message):
     # a zero divisor in line 5, entry 4
     (tmp_path / "zero-cell.mat").write_text("dim 4\n1, 0, 0, 0\n0, 1, 0, 0\n#\n0, 0, 1, 1/0\n"
                                             "0, 0, 0, 1\n")
+    # Latin-1 text, not UTF-8: the byte of the e-acute at offset 11
+    (tmp_path / "latin1.mat").write_bytes(b"dim 1\n# caf\xe9\n1\n")
+    (tmp_path / "d2.mat").write_text("dim 2\n1, 0\n0, 1\n")
     code, out, err = run(capsys, *[a.replace("@TMP", str(tmp_path)) for a in argv])
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
-    assert message in err
+    assert message.replace("@TMP", str(tmp_path)) in err
     assert "set_int_max_str_digits" not in err
+
+
+def test_matrix_files_are_utf8_whatever_the_locale(tmp_path):
+    path = tmp_path / "accent.mat"
+    path.write_bytes("dim 1\n# café\n1\n".encode("utf-8"))
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+               PYTHONPATH=os.path.join(os.path.dirname(os.path.dirname(
+                   os.path.abspath(__file__))), "src"))
+    proc = subprocess.run([sys.executable, "-m", "ybx.cli", "verify", "ybe",
+                           "--R", "file:%s" % path], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "overall: PASS (1 sample)" in proc.stdout
 
 
 @pytest.mark.parametrize("form", ["pin", "file", "scale"])

@@ -1,17 +1,17 @@
 import random
 from fractions import Fraction
 from math import isqrt
-from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import bareiss_rank, ybc_loops
 from ybx import catalog, solver, systems
 from ybx.errors import (DimensionMismatch, InputNotQbgSolution, NotInvertible,
                         SymbolicInput)
-from ybx.scalar import ONE, ZERO, GaussianRational, Polynomial, substitute
-from ybx.tensor import SquareMatrix, embed, flip_matrix, random_matrix, rref, ybc_const
+from ybx.scalar import ONE, ZERO, GaussianRational, substitute
+from ybx.tensor import (SquareMatrix, _det_cofactor, embed, flip_matrix, random_matrix,
+                        rref, ybc_const)
 
 P = flip_matrix(2)
 I = GaussianRational(0, 1)
@@ -175,7 +175,7 @@ def test_generic_sampling_dimension_agreement():
 
 
 # ---------------------------------------------------------------------------
-# exact elimination: rref against a reference, rows selected mod p
+# exact elimination: rref, nullspace, det and inverse against a reference
 
 def _pair_mul(x, y):
     return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
@@ -211,7 +211,7 @@ def _pair_rref(rows, ncols):
 
 def _rref_nullspace(rows, ncols):
     """Basis and rank read off the reference rref on all rows: the answer
-    the rows selected mod p must reproduce."""
+    ``nullspace`` must reproduce."""
     pivots, _, reduced = _pair_rref(rows, ncols)
     basis = []
     for f in (c for c in range(ncols) if c not in pivots):
@@ -221,17 +221,6 @@ def _rref_nullspace(rows, ncols):
             v[pc] = -reduced[ri][f]
         basis.append(v)
     return basis, len(pivots)
-
-
-def _rref_spy(monkeypatch):
-    """Row counts of every rref call the solver makes."""
-    calls = []
-
-    def spy(work, ncols):
-        calls.append(len(work))
-        return rref(work, ncols)
-    monkeypatch.setattr(solver, "rref", spy)
-    return calls
 
 
 _ENTRIES = {
@@ -297,49 +286,67 @@ def test_rref_agrees_with_the_pair_reference(system):
         assert det == want_det != 0
 
 
-@pytest.mark.parametrize("prime", [solver._PRIME, 5])
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(_systems())
-def test_selected_rows_give_the_full_rref_answer(prime, system):
-    """Byte for byte the answer of rref on all rows, with the module's
-    prime and with 5, where rows independent over Q(i) often vanish or
-    collapse and only the certificate and the fallback keep it right."""
+@example(([[GaussianRational(2, 1), ZERO, ZERO], [ZERO, ONE, ZERO],
+           [ZERO, GaussianRational(3), ZERO]], 3))
+def test_selected_rows_give_the_full_rref_answer(system):
+    """Byte for byte the answer of the reference rref on all rows, from
+    the {column: value} rows of the nonzero entries, whatever the row
+    order, the repeats and the zero rows."""
     rows, ncols = system
-    before = [[str(x) for x in row] for row in rows]
-    with mock.patch.object(solver, "_PRIME", prime):
-        basis, rank = solver.nullspace(rows, ncols)
+    sparse = [{c: x for c, x in enumerate(row) if not x.is_zero()} for row in rows]
+    before = [{c: str(x) for c, x in row.items()} for row in sparse]
+    basis, rank = solver.nullspace(sparse, ncols)
     want, want_rank = _rref_nullspace(rows, ncols)
     assert rank == want_rank
     assert [[str(x) for x in v] for v in basis] == [[str(x) for x in v] for v in want]
-    assert [[str(x) for x in row] for row in rows] == before
+    assert [{c: str(x) for c, x in row.items()} for row in sparse] == before
 
 
-def test_unlucky_prime_falls_back_to_all_rows(monkeypatch):
-    """Mod 5, where i maps to 3, the row (2+i, 0, 0) vanishes although it
-    is independent over Q(i) of the others.  The basis of the one kept row
-    fails the certificate on that row, and rref runs on all three."""
-    rows = [[GaussianRational(2, 1), ZERO, ZERO], [ZERO, ONE, ZERO],
-            [ZERO, GaussianRational(3), ZERO]]
-    calls = _rref_spy(monkeypatch)
-    monkeypatch.setattr(solver, "_PRIME", 5)
-    basis, rank = solver.nullspace(rows, 3)
-    assert calls == [1, 3]
-    assert (basis, rank) == _rref_nullspace(rows, 3) == ([[ZERO, ZERO, ONE]], 2)
+@st.composite
+def _square_matrices(draw):
+    """An n x n GaussianRational matrix, n = 5..7.  A staircase has row k
+    start at column perm[k] with a nonzero entry, so the fraction-free
+    pass finds its pivots in the order perm and the determinant takes
+    that permutation's sign; a singular matrix has a zero, repeated or
+    combined row."""
+    entry = _ENTRIES[draw(st.sampled_from(sorted(_ENTRIES)))]
+    nonzero = entry.filter(lambda x: not x.is_zero())
+    n = draw(st.integers(5, 7))
+    shape = draw(st.sampled_from(["dense", "staircase", "singular"]))
+    if shape == "staircase":
+        perm = draw(st.permutations(range(n)))
+        rows = [[ZERO] * p + [draw(nonzero)] + [draw(entry) for _ in range(n - p - 1)]
+                for p in perm]
+    else:
+        rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if shape == "singular":
+        k, j, m = draw(st.permutations(range(n)))[:3]
+        c = draw(entry)
+        rows[k] = draw(st.sampled_from([[ZERO] * n, rows[j][:],
+                                        [c * x + y for x, y in zip(rows[j], rows[m])]]))
+    return SquareMatrix(rows)
 
 
-def test_certified_selection_reduces_only_the_kept_rows(monkeypatch):
-    """The dim-9 flip's 729-row system has rank 80: rref sees 80 rows."""
-    calls = _rref_spy(monkeypatch)
-    space = solver.solve_z_linear(flip_matrix(3))
-    assert calls == [80] and space.rank == 80
-
-
-def test_symbolic_rows_reduce_all_rows(monkeypatch):
-    q = Polynomial.variable("q")
-    calls = _rref_spy(monkeypatch)
-    basis, rank = solver.nullspace([[q, ONE], [q * q, q], [ZERO, ZERO]], 2)
-    assert calls == [3] and rank == 1
-    assert basis[0][1] == ONE and basis[0][0] * q == -ONE
+@settings(max_examples=60, deadline=None)
+@given(_square_matrices())
+def test_det_and_inverse_agree_with_the_references(A):
+    """Numeric det against cofactor expansion and inverse against the
+    right half of the pair reference's reduced [A | I], at n = 5..7."""
+    n = A.dim
+    det = A.det()
+    assert det == _det_cofactor(A.rows)
+    aug = [row + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(A.rows)]
+    pivots, _, reduced = _pair_rref(aug, n)
+    if det == ZERO:
+        assert len(pivots) < n
+        with pytest.raises(NotInvertible, match="determinant is zero"):
+            A.inverse()
+    else:
+        assert pivots == list(range(n))
+        assert [[str(x) for x in row] for row in A.inverse().rows] == \
+            [[str(x) for x in row[n:]] for row in reduced]
 
 
 # ---------------------------------------------------------------------------
