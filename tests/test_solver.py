@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from oracles import bareiss_rank, ybc_loops
 from ybx import catalog, solver, systems
@@ -234,11 +234,16 @@ _ENTRIES = {
 
 
 @st.composite
-def _systems(draw):
+def _systems(draw, bound=None):
     """(rows, ncols): up to ncols generator rows, combinations of them,
     zero rows and a duplicated row, shuffled; the rank runs from 0 to
-    ncols and the rows often outnumber the columns."""
-    entry = _ENTRIES[draw(st.sampled_from(sorted(_ENTRIES)))]
+    ncols and the rows often outnumber the columns.  With a bound the
+    entries may also be Gaussian integers with parts up to it."""
+    kinds = dict(_ENTRIES)
+    if bound is not None:
+        kinds["wide"] = st.builds(GaussianRational, st.integers(-bound, bound),
+                                  st.integers(-bound, bound))
+    entry = kinds[draw(st.sampled_from(sorted(kinds)))]
     ncols = draw(st.integers(1, 6))
     gens = [[draw(entry) for _ in range(ncols)] for _ in range(draw(st.integers(0, ncols)))]
     rows = list(gens)
@@ -286,15 +291,26 @@ def test_rref_agrees_with_the_pair_reference(system):
         assert det == want_det != 0
 
 
-@settings(max_examples=200, deadline=None)
-@given(_systems())
-@example(([[GaussianRational(2, 1), ZERO, ZERO], [ZERO, ONE, ZERO],
-           [ZERO, GaussianRational(3), ZERO]], 3))
-def test_selected_rows_give_the_full_rref_answer(system):
+@pytest.mark.parametrize("bound", [5, 998244353])
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_selected_rows_give_the_full_rref_answer(bound, data):
     """Byte for byte the answer of the reference rref on all rows, from
     the {column: value} rows of the nonzero entries, whatever the row
-    order, the repeats and the zero rows."""
-    rows, ncols = system
+    order, the repeats and the zero rows; with entry parts up to 5, where
+    rows often cancel, and up to 998244353, where the fraction-free
+    products run to hundreds of bits."""
+    _check_nullspace(*data.draw(_systems(bound)))
+
+
+def test_nullspace_keeps_a_row_that_vanishes_mod_5():
+    """(2+i, 0, 0) is zero mod 5, where i maps to 3, yet independent over
+    Q(i) of the other two rows: the rank is 2 and the basis (0, 0, 1)."""
+    _check_nullspace([[GaussianRational(2, 1), ZERO, ZERO], [ZERO, ONE, ZERO],
+                      [ZERO, GaussianRational(3), ZERO]], 3)
+
+
+def _check_nullspace(rows, ncols):
     sparse = [{c: x for c, x in enumerate(row) if not x.is_zero()} for row in rows]
     before = [{c: str(x) for c, x in row.items()} for row in sparse]
     basis, rank = solver.nullspace(sparse, ncols)
