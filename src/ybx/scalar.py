@@ -448,7 +448,7 @@ class RationalFunction(Scalar):
         return self.num._mul(o.den)._eq(o.num._mul(self.den))
 
     def variables(self):
-        return self.num.variables() | self.den.variables()
+        return self.num.variables() | self.den.variables() if self.num.terms else set()
 
     def substitute(self, mapping):
         den = lowest(self.den.substitute(mapping))
@@ -548,6 +548,8 @@ def gaussian_integers(row):
 def lowest(x):
     """Push a scalar down to the lowest tower level that represents it."""
     if isinstance(x, RationalFunction):
+        if not x.num.terms:
+            return ZERO
         if len(x.den.terms) > 1:
             return x
         x = x.num._div(x.den)
@@ -656,7 +658,7 @@ def _is_atomic_factor(p: Polynomial) -> bool:
 
 
 def rf_str(r: RationalFunction) -> str:
-    if r.den._eq(_ONE_POLY):
+    if r.den._eq(_ONE_POLY) or not r.num.terms:
         return poly_str(r.num)
     ns = poly_str(r.num)
     if len(r.num.terms) > 1:

@@ -33,30 +33,30 @@ class SquareMatrix:
 
     @staticmethod
     def identity(n):
-        return SquareMatrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return _matrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
     @staticmethod
     def zeros(n):
-        return SquareMatrix([[ZERO] * n for _ in range(n)])
+        return _matrix([[ZERO] * n for _ in range(n)])
 
     @staticmethod
     def unit(n, i, j):
         rows = [[ZERO] * n for _ in range(n)]
         rows[i][j] = ONE
-        return SquareMatrix(rows)
+        return _matrix(rows)
 
     def __add__(self, other):
         self._same_dim(other)
-        return SquareMatrix([[a + b for a, b in zip(ra, rb)]
-                             for ra, rb in zip(self.rows, other.rows)])
+        return _matrix([[a + b for a, b in zip(ra, rb)]
+                        for ra, rb in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
         self._same_dim(other)
-        return SquareMatrix([[a - b for a, b in zip(ra, rb)]
-                             for ra, rb in zip(self.rows, other.rows)])
+        return _matrix([[a - b for a, b in zip(ra, rb)]
+                        for ra, rb in zip(self.rows, other.rows)])
 
     def __neg__(self):
-        return SquareMatrix([[-a for a in row] for row in self.rows])
+        return _matrix([[-a for a in row] for row in self.rows])
 
     def __mul__(self, other):
         if not isinstance(other, SquareMatrix):
@@ -77,18 +77,15 @@ class SquareMatrix:
                     b = brow[j]
                     if not b.is_zero():
                         orow[j] = orow[j] + a * b
-        m = SquareMatrix.__new__(SquareMatrix)
-        m.dim = n
-        m.rows = out
-        return m
+        return _matrix(out)
 
     def scale(self, s):
         s = as_scalar(s)
-        return SquareMatrix([[s * a for a in row] for row in self.rows])
+        return _matrix([[s * a for a in row] for row in self.rows])
 
     def transpose(self):
         n = self.dim
-        return SquareMatrix([[self.rows[j][i] for j in range(n)] for i in range(n)])
+        return _matrix([[self.rows[j][i] for j in range(n)] for i in range(n)])
 
     def is_zero(self):
         return all(a.is_zero() for row in self.rows for a in row)
@@ -107,7 +104,7 @@ class SquareMatrix:
 
     def substitute(self, assignment):
         from .scalar import substitute
-        return SquareMatrix([[substitute(a, assignment) for a in row] for row in self.rows])
+        return _matrix([[substitute(a, assignment) for a in row] for row in self.rows])
 
     def variables(self):
         out = set()
@@ -122,15 +119,13 @@ class SquareMatrix:
                    for row in self.rows for a in row)
 
     def det(self):
-        """Exact determinant: cofactor expansion for n <= 4.  Beyond, for
-        GaussianRational entries, the fraction-free pass ``_bareiss`` on
-        the rows scaled to Z[i]: its last pivot D is the determinant of
-        the scaled rows in the pivot columns' order of discovery, so the
-        determinant is +-D over the product of the row scales.  Other
-        entries go through ``rref``.  Zero when the rank is short."""
+        """Exact determinant.  For GaussianRational entries, the
+        fraction-free pass ``_bareiss`` on the rows scaled to Z[i]: its last
+        pivot D is the determinant of the scaled rows in the pivot columns'
+        order of discovery, so the determinant is +-D over the product of
+        the row scales, and zero when the rank is short.  Other entries are
+        expanded along the first row by ``_minor``, which never divides."""
         n = self.dim
-        if n <= 4:
-            return _det_cofactor(self.rows)
         if _all_gaussian(self.rows):
             scales, rows = zip(*(gaussian_integers(dict(enumerate(row))) for row in self.rows))
             _, order, (da, db) = _bareiss(rows, n)
@@ -139,38 +134,38 @@ class SquareMatrix:
             if sum(a > b for k, a in enumerate(order) for b in order[k + 1:]) % 2:
                 da, db = -da, -db
             return _reduced(da, db, prod(scales))
-        pivots, det = rref([row[:] for row in self.rows], n)
-        return det if len(pivots) == n else ZERO
+        return _minor(self.rows, tuple(range(n)), tuple(range(n)), {})
 
     def inverse(self):
-        """Exact inverse: adjugate over determinant for n <= 4.  Beyond,
-        [M | I] is reduced to [I | M^-1]: for GaussianRational entries by
-        ``_bareiss``, whose kept rows are D times the reduced ones, so the
-        inverse is their right half over D; for other entries by ``rref``.
-        Raises NotInvertible when the determinant is zero."""
+        """Exact inverse.  For GaussianRational entries, ``_bareiss``
+        reduces [M | I] to D times [I | M^-1], so the inverse is the right
+        half of its kept rows over D.  Other entries take, up to dim 4, the
+        adjugate over the determinant from one ``_minor`` table, and beyond
+        that ``rref`` on [M | I].  Raises NotInvertible on a zero det."""
         n = self.dim
-        if n > 4:
-            aug = [row + [ONE if i == j else ZERO for j in range(n)]
-                   for i, row in enumerate(self.rows)]
-            if _all_gaussian(self.rows):
-                kept, order, d = _bareiss([gaussian_integers(dict(enumerate(row)))[1]
-                                           for row in aug], n)
-                if len(order) < n:
-                    raise NotInvertible("determinant is zero")
-                return SquareMatrix([[_over(kept[i][n + j], d) if n + j in kept[i] else ZERO
-                                      for j in range(n)] for i in range(n)])
-            if len(rref(aug, n)[0]) < n:
+        idx = tuple(range(n))
+        aug = [row + [ONE if i == j else ZERO for j in idx] for i, row in enumerate(self.rows)]
+        if _all_gaussian(self.rows):
+            kept, order, d = _bareiss([gaussian_integers(dict(enumerate(row)))[1]
+                                       for row in aug], n)
+            if len(order) < n:
                 raise NotInvertible("determinant is zero")
-            return SquareMatrix([row[n:] for row in aug])
-        d = self.det()
+            return _matrix([[_over(kept[i][n + j], d) if n + j in kept[i] else ZERO
+                             for j in idx] for i in idx])
+        if n > 4:
+            if len(rref(aug, n)) < n:
+                raise NotInvertible("determinant is zero")
+            return _matrix([row[n:] for row in aug])
+        memo = {}
+        d = _minor(self.rows, idx, idx, memo)
         if is_zero(d):
             raise NotInvertible("determinant is zero")
-        if n == 1:
-            return SquareMatrix([[1 / d]])
         dinv = 1 / d
-        rows = [[_cofactor(self.rows, j, i) * dinv for j in range(n)]
-                for i in range(n)]
-        return SquareMatrix(rows)
+
+        def cofactor(i, j):
+            m = _minor(self.rows, idx[:i] + idx[i + 1:], idx[:j] + idx[j + 1:], memo)
+            return m if (i + j) % 2 == 0 else -m
+        return _matrix([[cofactor(j, i) * dinv for j in idx] for i in idx])
 
     def __str__(self):
         return matrix_to_text(self)
@@ -179,42 +174,50 @@ class SquareMatrix:
         return "SquareMatrix(dim=%d)" % self.dim
 
 
-def _det_cofactor(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = ZERO
-    sign = 1
-    for j in range(n):
-        a = rows[0][j]
-        if not a.is_zero():
-            minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
-            term = a * _det_cofactor(minor)
-            acc = acc + term if sign > 0 else acc - term
-        sign = -sign
-    return acc
+def _matrix(rows):
+    """The SquareMatrix of ``rows``: square lists that already hold scalars."""
+    m = SquareMatrix.__new__(SquareMatrix)
+    m.dim = len(rows)
+    m.rows = rows
+    return m
 
 
-def _cofactor(rows, i, j):
-    n = len(rows)
-    minor = [[rows[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
-    d = _det_cofactor(minor)
-    return d if (i + j) % 2 == 0 else -d
+def _minor(rows, row_indices, col_indices, memo):
+    """Determinant of ``rows`` on the index tuples ``row_indices`` and
+    ``col_indices``, expanded along the first row, columns in order, with
+    no division; the empty minor is ONE.  ``memo`` keeps every minor by its
+    index pair, so the calls that share it compute each minor once.
+    Rational functions have no canonical form: this order of operations
+    fixes the printed result."""
+    key = (row_indices, col_indices)
+    m = memo.get(key)
+    if m is not None:
+        return m
+    if len(col_indices) < 2:
+        m = rows[row_indices[0]][col_indices[0]] if col_indices else ONE
+    elif len(col_indices) == 2:
+        (r0, r1), (c0, c1) = row_indices, col_indices
+        m = rows[r0][c0] * rows[r1][c1] - rows[r0][c1] * rows[r1][c0]
+    else:
+        top, rest = rows[row_indices[0]], row_indices[1:]
+        m = ZERO
+        for j, c in enumerate(col_indices):
+            a = top[c]
+            if not a.is_zero():
+                term = a * _minor(rows, rest, col_indices[:j] + col_indices[j + 1:], memo)
+                m = m + term if j % 2 == 0 else m - term
+    memo[key] = m
+    return m
 
 
 def rref(rows, ncols):
     """In-place reduced row echelon form of ``rows`` over their first
     ``ncols`` columns (a row may be wider, as in [M | I]) with exact field
-    arithmetic, for entries anywhere in the tower; returns (pivot column
-    list, determinant).  The determinant is the product of the pivots
-    taken, negated once per row swap; it is defined for square input of
-    full rank only, which is the only case ``det`` reads it.  ``det`` and
-    ``inverse`` of GaussianRational matrices, and ``solver.nullspace``,
-    eliminate with ``_bareiss`` instead."""
+    arithmetic, for entries anywhere in the tower; returns the pivot
+    column list.  ``inverse`` runs it on symbolic matrices above dim 4;
+    GaussianRational matrices and ``solver.nullspace`` eliminate with
+    ``_bareiss`` instead."""
     pivots = []
-    det = ONE
     r = 0
     for c in range(ncols):
         piv = None
@@ -226,8 +229,6 @@ def rref(rows, ncols):
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
-            det = -det
-        det = det * rows[r][c]
         pinv = invert(rows[r][c])
         rows[r] = [x * pinv for x in rows[r]]
         for rr in range(len(rows)):
@@ -236,7 +237,7 @@ def rref(rows, ncols):
                 rows[rr] = [x - f * y for x, y in zip(rows[rr], rows[r])]
         pivots.append(c)
         r += 1
-    return pivots, det
+    return pivots
 
 
 def _all_gaussian(rows):
@@ -323,17 +324,31 @@ def kron(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
                     y = b.rows[i2][j2]
                     if not y.is_zero():
                         out[i1 * nb + i2][j1 * nb + j2] = x * y
-    return SquareMatrix(out)
+    return _matrix(out)
+
+
+# The leg permutation of the flip conjugation P M P, for ``_permute_legs``.
+_FLIP = (1, 0, 3, 2)
+
+
+def _permute_legs(M: SquareMatrix, perm) -> SquareMatrix:
+    """M (dim N^2) with the entry at legs (i1, i2 | j1, j2) moved to the
+    legs ``perm`` picks from those four, in order.  No arithmetic: every
+    entry keeps its printed form."""
+    N = _local_dim(M)
+    out = [[ZERO] * M.dim for _ in range(M.dim)]
+    for r, row in enumerate(M.rows):
+        for c, x in enumerate(row):
+            if not x.is_zero():
+                legs = divmod(r, N) + divmod(c, N)
+                i1, i2, j1, j2 = (legs[k] for k in perm)
+                out[i1 * N + i2][j1 * N + j2] = x
+    return _matrix(out)
 
 
 def flip_matrix(N: int) -> SquareMatrix:
     """The permutation matrix P of dim N^2: P|i,j> = |j,i>."""
-    n = N * N
-    rows = [[ZERO] * n for _ in range(n)]
-    for i in range(N):
-        for j in range(N):
-            rows[i * N + j][j * N + i] = ONE
-    return SquareMatrix(rows)
+    return _permute_legs(SquareMatrix.identity(N * N), (0, 1, 3, 2))
 
 
 def embed(M: SquareMatrix, legs) -> SquareMatrix:
@@ -360,10 +375,7 @@ def embed(M: SquareMatrix, legs) -> SquareMatrix:
                     base_c = ca * sa + cb * sb
                     for t in range(N):
                         out[base_r + t * sc][base_c + t * sc] = x
-    m = SquareMatrix.__new__(SquareMatrix)
-    m.dim = size
-    m.rows = out
-    return m
+    return _matrix(out)
 
 
 def _local_dim(mat: SquareMatrix, role=None) -> int:
@@ -418,8 +430,7 @@ class ColourMatrix:
     def swap_conjugate(self) -> "ColourMatrix":
         """The colour-swap conjugate: (u,v) -> P . self(v,u) . P."""
         u, v = COLOURS
-        P = flip_matrix(_local_dim(self.base))
-        return ColourMatrix(P * self.at_vars(v, u) * P)
+        return ColourMatrix(_permute_legs(self.at_vars(v, u), _FLIP))
 
     def __eq__(self, other):
         return isinstance(other, ColourMatrix) and self.base == other.base
@@ -457,9 +468,7 @@ def transform(M, op: str):
     if op == "t":
         return M.transpose()
     if op == "+":
-        N = _local_dim(M)
-        P = flip_matrix(N)
-        return P * M * P
+        return _permute_legs(M, _FLIP)
     if op == "-":
         return M.inverse()
     if op == "#":
@@ -487,20 +496,7 @@ def partial_transpose(M: SquareMatrix, leg: int) -> SquareMatrix:
     """Transpose on one tensor factor of an N^2-dim matrix (leg 1 or 2)."""
     if leg not in (1, 2):
         raise DimensionMismatch("leg must be 1 or 2")
-    N = _local_dim(M)
-    out = [[ZERO] * M.dim for _ in range(M.dim)]
-    for i1 in range(N):
-        for i2 in range(N):
-            for j1 in range(N):
-                for j2 in range(N):
-                    x = M.rows[i1 * N + i2][j1 * N + j2]
-                    if x.is_zero():
-                        continue
-                    if leg == 1:
-                        out[j1 * N + i2][i1 * N + j2] = x
-                    else:
-                        out[i1 * N + j2][j1 * N + i2] = x
-    return SquareMatrix(out)
+    return _permute_legs(M, (2, 1, 0, 3) if leg == 1 else (0, 3, 2, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -308,6 +308,15 @@ def test_solve_z_emit_ybe(capsys):
     assert " = 0" in out
 
 
+def test_solve_z_reads_a_zero_quotient_as_zero(capsys, tmp_path):
+    path = tmp_path / "flip.mat"
+    path.write_text("dim 4\nvars q\n1, 0/(q+1), 0, 0\n0, 0, 1, 0\n0, 1, 0, 0\n0, 0, 0, 1\n")
+    code, out, err = run(capsys, "solve-z", "--X", "file:%s" % path)
+    assert (code, err) == (0, "")
+    flip = run(capsys, "solve-z", "--X", "catalog:P")[1]
+    assert out.split("\n", 1)[1] == flip.split("\n", 1)[1]
+
+
 def test_solve_z_symbolic_is_usage_error(capsys, tmp_path):
     path = tmp_path / "sym.mat"
     path.write_text("dim 2\nvars a\na, 0\n0, 1\n")

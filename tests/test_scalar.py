@@ -149,6 +149,19 @@ def test_division_stays_low_in_the_tower():
                                    Polynomial.variable("c"))) == Polynomial.variable("a")
 
 
+def test_zero_quotient_is_zero():
+    """A quotient with a zero numerator lowers to ZERO; one built by
+    arithmetic prints as 0 and has no variables."""
+    x = parse_scalar("0/(q+1)")
+    assert type(x) is GaussianRational and x.is_zero()
+    r = parse_scalar("q/(q+1)")
+    z = r - r
+    assert isinstance(z, RationalFunction)
+    assert scalar_str(z) == "0"
+    assert z.variables() == set()
+    assert type(lowest(z)) is GaussianRational and lowest(z).is_zero()
+
+
 def test_zero_denominator_rejected():
     with pytest.raises(DivisionByZero):
         RationalFunction(q(), Polynomial({}))

@@ -8,8 +8,8 @@ from ybx.catalog import instantiate
 from ybx.errors import (DimensionMismatch, NotInvertible, UnsupportedTransform,
                         ZeroScale)
 from ybx.exprparse import parse_scalar as ps
-from ybx.scalar import GaussianRational, Polynomial, invert
-from ybx.tensor import (ColourMatrix, SquareMatrix, _det_cofactor, conjugate,
+from ybx.scalar import GaussianRational, Polynomial, invert, substitute
+from ybx.tensor import (ColourMatrix, SquareMatrix, _minor, conjugate,
                         embed, flip_matrix, kron, matrix_from_text,
                         matrix_to_text, partial_transpose, random_matrix,
                         transform, ybc_colour, ybc_const)
@@ -227,20 +227,54 @@ def test_inverse_beyond_adjugate_size():
         assert A * Ai == SquareMatrix.identity(n)
 
 
+def _expanded(rows):
+    """The determinant by cofactor expansion, independent of ``_bareiss``."""
+    idx = tuple(range(len(rows)))
+    return _minor(rows, idx, idx, {})
+
+
 def test_det_beyond_cofactor_size():
     for n in (5, 6):
         for seed in range(6):
             A = random_matrix(n, 200 + seed)
-            assert A.det() == _det_cofactor(A.rows)
+            assert A.det() == _expanded(A.rows)
         rows = [row[:] for row in random_matrix(n, 300).rows]
         rows[3] = rows[1][:]
-        assert SquareMatrix(rows).det() == 0 == _det_cofactor(rows)
+        assert SquareMatrix(rows).det() == 0 == _expanded(rows)
     A, B = random_matrix(9, 123), random_matrix(9, 456)
     swapped = [row[:] for row in A.rows]
     swapped[0], swapped[5] = swapped[5], swapped[0]
     assert SquareMatrix(swapped).det() == -A.det() != 0
     assert (A * B).det() == A.det() * B.det()
     assert A.det() * A.inverse().det() == 1
+
+
+def _symbolic_matrices(n):
+    """Two n x n matrices in q: q + k at (k, k) with a fixed sparse numeric
+    pattern off the diagonal, and the dense ``random_matrix(n, 1)`` with q
+    added at (0, 0)."""
+    q = Polynomial.variable("q")
+    sparse = [[q + i if i == j else (7 * i + 3 * j) % 5 - 2 if i + j == n - 1
+               else 1 if j == i + 1 and i % 3 == 0 else 0 for j in range(n)] for i in range(n)]
+    dense = [row[:] for row in random_matrix(n, 1).rows]
+    dense[0][0] = dense[0][0] + q
+    return SquareMatrix(sparse), SquareMatrix(dense)
+
+
+@pytest.mark.parametrize("n", [5, 6, 9])
+def test_symbolic_det_and_inverse_beyond_dim_4(n):
+    """The determinant of a symbolic matrix commutes with substituting q:
+    at each point it is the ``_bareiss`` determinant of the numeric
+    matrix.  The sparse matrix times its inverse is the identity."""
+    sparse, dense = _symbolic_matrices(n)
+    for A in (sparse, dense):
+        d = A.det()
+        assert d.variables()
+        for v in (2, 3, Fraction(-1, 2)):
+            B = A.substitute({"q": v})
+            assert all(type(x) is GaussianRational for row in B.rows for x in row)
+            assert substitute(d, {"q": v}) == B.det()
+    assert sparse * sparse.inverse() == SquareMatrix.identity(n)
 
 
 def _gaussian_matrix(n, seed):
@@ -254,7 +288,7 @@ def _gaussian_matrix(n, seed):
 @pytest.mark.parametrize("n", [5, 6])
 def test_det_and_inverse_of_gaussian_entries(n):
     A = _gaussian_matrix(n, n)
-    assert A.det() == _det_cofactor(A.rows) != 0
+    assert A.det() == _expanded(A.rows) != 0
     assert A * A.inverse() == SquareMatrix.identity(n)
 
 
