@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import exprparse
 from .errors import ConstraintViolated, DivisionByZero, ExprSyntaxError, UnknownName, prefixed
@@ -39,15 +40,22 @@ class ConstraintSet:
     equalities: tuple = ()    # (label, expr) pairs; expr must evaluate to zero
     inequations: tuple = ()   # (label, expr) pairs; expr must stay nonzero
 
+    @cached_property
+    def _parsed(self):
+        """(equalities, inequations) with each expression parsed, on first use."""
+        return tuple([(label, exprparse.parse_scalar(expr)) for label, expr in pairs]
+                     for pairs in (self.equalities, self.inequations))
+
     def check(self, assignment):
         """Raise ConstraintViolated for any constraint decidable under
         ``assignment``; symbolic (undecidable) constraints are deferred."""
-        for label, expr in self.equalities:
-            val = substitute(exprparse.parse_scalar(expr), assignment)
+        equalities, inequations = self._parsed
+        for label, expr in equalities:
+            val = substitute(expr, assignment)
             if isinstance(val, GaussianRational) and not val.is_zero():
                 raise ConstraintViolated(self.entry, label)
-        for label, expr in self.inequations:
-            val = substitute(exprparse.parse_scalar(expr), assignment)
+        for label, expr in inequations:
+            val = substitute(expr, assignment)
             if isinstance(val, GaussianRational) and val.is_zero():
                 raise ConstraintViolated(self.entry, label)
 
@@ -72,6 +80,21 @@ class NamedMatrix:
     def var_names(self):
         """Parameters, then the colour pair for colour entries."""
         return list(self.params) + (list(COLOURS) if self.colour else [])
+
+    @cached_property
+    def cells(self):
+        """The entry expressions as scalars, parsed on first use."""
+        return [[exprparse.parse_scalar(cell) for cell in row] for row in self.entries]
+
+    @cached_property
+    def witness_point(self):
+        """The witness as {param: scalar}, parsed on first use."""
+        return {p: exprparse.parse_scalar(e) for p, e in self.witness}
+
+    @cached_property
+    def sampling_choices(self):
+        """The sampling rules as {param: [scalar, ...]}, parsed on first use."""
+        return {p: [exprparse.parse_scalar(e) for e in exprs] for p, exprs in self.sampling}
 
 
 _CATALOG: dict[str, NamedMatrix] = {}
@@ -357,8 +380,7 @@ def instantiate(name: str, assignment=None):
     entry = get(name)
     resolved = _resolve_assignment(entry, assignment or {})
     entry.constraints.check(resolved)
-    rows = [[substitute(exprparse.parse_scalar(cell), resolved) for cell in row]
-            for row in entry.entries]
+    rows = [[substitute(cell, resolved) for cell in row] for row in entry.cells]
     M = SquareMatrix(rows)
     if entry.colour:
         return ColourMatrix(M)
@@ -367,7 +389,7 @@ def instantiate(name: str, assignment=None):
 
 def witness(name: str):
     """The stored admissible witness point of an entry."""
-    return {p: exprparse.parse_scalar(e) for p, e in get(name).witness}
+    return dict(get(name).witness_point)
 
 
 def sample_assignment(name: str, rng: random.Random, pins=None):
@@ -382,7 +404,7 @@ def sample_assignment(name: str, rng: random.Random, pins=None):
     """
     entry = get(name)
     pins = pins or {}
-    rules = dict(entry.sampling)
+    rules = entry.sampling_choices
     for _ in range(200):
         raw = dict(pins)
         for p in entry.params:

@@ -59,10 +59,28 @@ class SquareMatrix:
         return _matrix([[-a for a in row] for row in self.rows])
 
     def __mul__(self, other):
+        """Matrix product.  When every entry of both factors is a
+        GaussianRational, each factor is scaled to Gaussian integers over
+        one common denominator, the products are summed in ints over the
+        nonzero entries, and each entry is reduced once over the product of
+        the two denominators.  Other entries take the scalar loop."""
         if not isinstance(other, SquareMatrix):
             return NotImplemented
         self._same_dim(other)
         n = self.dim
+        if _all_gaussian(self.rows) and _all_gaussian(other.rows):
+            da, arows = _sparse_gaussian(self.rows)
+            db, brows = _sparse_gaussian(other.rows)
+            d = da * db
+            out = []
+            for arow in arows:
+                re, im = [0] * n, [0] * n
+                for k, xa, xb in arow:
+                    for j, ya, yb in brows[k]:
+                        re[j] += xa * ya - xb * yb
+                        im[j] += xa * yb + xb * ya
+                out.append([_reduced(a, b, d) if a or b else ZERO for a, b in zip(re, im)])
+            return _matrix(out)
         out = [[ZERO] * n for _ in range(n)]
         brows = other.rows
         for i in range(n):
@@ -127,13 +145,13 @@ class SquareMatrix:
         expanded along the first row by ``_minor``, which never divides."""
         n = self.dim
         if _all_gaussian(self.rows):
-            scales, rows = zip(*(gaussian_integers(dict(enumerate(row))) for row in self.rows))
-            _, order, (da, db) = _bareiss(rows, n)
+            scaled = [gaussian_integers(dict(enumerate(row))) for row in self.rows]
+            _, order, (da, db) = _bareiss([row for _, row in scaled], n)
             if len(order) < n:
                 return ZERO
             if sum(a > b for k, a in enumerate(order) for b in order[k + 1:]) % 2:
                 da, db = -da, -db
-            return _reduced(da, db, prod(scales))
+            return _reduced(da, db, prod(s for s, _ in scaled))
         return _minor(self.rows, tuple(range(n)), tuple(range(n)), {})
 
     def inverse(self):
@@ -214,9 +232,10 @@ def rref(rows, ncols):
     """In-place reduced row echelon form of ``rows`` over their first
     ``ncols`` columns (a row may be wider, as in [M | I]) with exact field
     arithmetic, for entries anywhere in the tower; returns the pivot
-    column list.  ``inverse`` runs it on symbolic matrices above dim 4;
-    GaussianRational matrices and ``solver.nullspace`` eliminate with
-    ``_bareiss`` instead."""
+    column list.  In the library only ``inverse`` runs it, on matrices
+    above dim 4 with an entry that is not a GaussianRational; numeric
+    ``det``, ``inverse`` and ``solver.nullspace`` eliminate with
+    ``_bareiss``."""
     pivots = []
     r = 0
     for c in range(ncols):
@@ -242,6 +261,19 @@ def rref(rows, ncols):
 
 def _all_gaussian(rows):
     return all(type(x) is GaussianRational for row in rows for x in row)
+
+
+def _sparse_gaussian(rows):
+    """(d, scaled rows): d is the common denominator of the GaussianRational
+    ``rows``, and each scaled row lists (column, re, im) for its nonzero
+    entries times d."""
+    n = len(rows)
+    entries = enumerate(x for row in rows for x in row)
+    d, flat = gaussian_integers({k: x for k, x in entries if x.a or x.b})
+    out = [[] for _ in range(n)]
+    for k, (a, b) in flat.items():
+        out[k // n].append((k % n, a, b))
+    return d, out
 
 
 def _bareiss(rows, ncols):

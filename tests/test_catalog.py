@@ -163,3 +163,30 @@ def test_catalog_export_round_trip_bytes():
         text = matrix_to_text(base, var_names=catalog.get(name).var_names)
         again, names = matrix_from_text(text)
         assert matrix_to_text(again, var_names=names) == text
+
+
+def test_entries_are_parsed_once_and_print_as_freshly_parsed(monkeypatch):
+    """Each entry's cells, constraints and witness are parsed on first use
+    and kept.  A repeated instantiation parses nothing and prints the same
+    bytes as the cells parsed afresh and substituted at the same point."""
+    from ybx import exprparse
+    from ybx.scalar import substitute
+    from ybx.tensor import SquareMatrix
+
+    def text(name, m):
+        base = m.base if isinstance(m, ColourMatrix) else m
+        return matrix_to_text(base, var_names=catalog.get(name).var_names)
+
+    first = {}
+    for name in catalog.names():
+        point = catalog.witness(name)
+        first[name] = text(name, catalog.instantiate(name, point))
+        fresh = SquareMatrix([[substitute(exprparse.parse_scalar(cell), point) for cell in row]
+                              for row in catalog.get(name).entries])
+        assert text(name, fresh) == first[name], name
+
+    def parse_scalar(text):
+        raise AssertionError("parsed %r again" % text)
+    monkeypatch.setattr(exprparse, "parse_scalar", parse_scalar)
+    for name in catalog.names():
+        assert text(name, catalog.instantiate(name, catalog.witness(name))) == first[name]

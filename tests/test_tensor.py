@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import embed_oracle, ybc_loops
 from ybx.catalog import instantiate
@@ -290,6 +291,78 @@ def test_det_and_inverse_of_gaussian_entries(n):
     A = _gaussian_matrix(n, n)
     assert A.det() == _expanded(A.rows) != 0
     assert A * A.inverse() == SquareMatrix.identity(n)
+
+
+def test_empty_matrix_has_det_one_and_is_its_own_inverse():
+    empty = SquareMatrix([])
+    assert empty.det() == 1
+    assert empty.inverse() == empty
+
+
+# ---------------------------------------------------------------------------
+# the product against a triple loop on (Fraction, Fraction) pairs
+
+_ZERO_PAIR = (Fraction(0), Fraction(0))
+_DENOMINATORS = (1, 1, 2, 3, 4, 6, 7, 12, 2 ** 40 + 15)
+
+
+@st.composite
+def _pair_factors(draw):
+    """Two n x n matrices of (re, im) Fraction pairs, n in 1..9, each with
+    some of its rows and columns zeroed.  The parts come from a drawn seed:
+    zero, small or wide numerators over mixed denominators, with the
+    imaginary parts all zero unless the draw asks for Gaussian entries."""
+    n = draw(st.integers(1, 9))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    gaussian = draw(st.booleans())
+    lines = st.sets(st.integers(0, n - 1), max_size=n)
+
+    def part():
+        u = rng.random()
+        if u < 0.3:
+            return Fraction(0)
+        num = rng.randint(-9, 9) if u < 0.9 else rng.randint(-2 ** 70, 2 ** 70)
+        return Fraction(num, rng.choice(_DENOMINATORS))
+    factors = []
+    for _ in range(2):
+        rows = [[(part(), part() if gaussian else Fraction(0)) for _ in range(n)]
+                for _ in range(n)]
+        for i in draw(lines):
+            rows[i] = [_ZERO_PAIR] * n
+        for j in draw(lines):
+            for row in rows:
+                row[j] = _ZERO_PAIR
+        factors.append(rows)
+    return factors
+
+
+def _pair_product(a, b):
+    n = len(a)
+    return [[(sum(a[i][k][0] * b[k][j][0] - a[i][k][1] * b[k][j][1] for k in range(n)),
+              sum(a[i][k][0] * b[k][j][1] + a[i][k][1] * b[k][j][0] for k in range(n)))
+             for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pair_factors(), st.data())
+def test_product_agrees_with_the_pair_triple_loop(factors, data):
+    """Gaussian rational factors, with mixed denominators and zero lines,
+    multiply to the pairs' product entry by entry; with a Polynomial in
+    one factor the product still has the same values."""
+    a, b = factors
+    n = len(a)
+    want = _pair_product(a, b)
+    A, B = ([[GaussianRational(*x) for x in row] for row in m] for m in factors)
+    got = SquareMatrix(A) * SquareMatrix(B)
+    for row, want_row in zip(got.rows, want):
+        for x, w in zip(row, want_row):
+            assert type(x) is GaussianRational and (x.re, x.im) == w
+    rows = data.draw(st.sampled_from([A, B]))
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    rows[i][j] = rows[i][j].as_poly()
+    got = SquareMatrix(A) * SquareMatrix(B)
+    assert all(x == GaussianRational(*w) for row, want_row in zip(got.rows, want)
+               for x, w in zip(row, want_row))
 
 
 # ---------------------------------------------------------------------------
