@@ -535,18 +535,6 @@ def invert(x):
     return x.inv()
 
 
-def gaussian_integers(row):
-    """(d, scaled): d is the least common multiple of the denominators of
-    the GaussianRationals in the {column: value} ``row``, and scaled maps
-    the column of each nonzero value to that value times d, as an (re, im)
-    pair of ints.  One positive factor scales them all, so a row keeps its
-    nullspace and a matrix its zero entries."""
-    # unpacked from a list: a tuple built from a generator is resized, and each
-    # call would then strand a block on the interpreter's tuple free lists
-    d = lcm(*[g.d for g in row.values()])
-    return d, {c: (g.a * (d // g.d), g.b * (d // g.d)) for c, g in row.items() if g.a or g.b}
-
-
 def lowest(x):
     """Push a scalar down to the lowest tower level that represents it."""
     if isinstance(x, RationalFunction):

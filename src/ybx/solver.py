@@ -12,7 +12,7 @@ from . import exprparse
 from .errors import (DimensionMismatch, InputNotQbgSolution, NotInvertible,
                      SymbolicInput, YbxError)
 from .scalar import (ZERO, ONE, GaussianRational, Polynomial, as_scalar,
-                     gaussian_integers, is_zero, lowest, scalar_str)
+                     is_zero, lowest, scalar_str)
 from .tensor import (SquareMatrix, _bareiss, _local_dim, _over, conjugate, embed,
                      transform, ybc_const)
 from .tensor import rref  # perfbench/tracing.py traces the span solver.rref by this name
@@ -24,15 +24,16 @@ from .systems import SYSTEMS, verify
 
 def nullspace(rows, ncols):
     """Echelon-normalized nullspace basis of rows * x = 0, for rows given
-    as {column: GaussianRational} dicts; returns (basis vectors, rank).
+    as {column: (re, im)} dicts of Gaussian integers; returns (basis
+    vectors of GaussianRationals, rank).
 
-    Each row is scaled to Gaussian integers and the rows go through one
-    fraction-free pass, ``_bareiss``, which keeps each independent row as
-    D times its reduced form.  The basis has one vector per free column f,
-    in column order: 1 at f and -kept[pc][f] / D at each pivot column pc.
-    Every division is exact and no step is probabilistic, so this is the
-    basis read off the reduced row echelon form of all the rows."""
-    kept, _, d = _bareiss([gaussian_integers(row)[1] for row in rows], ncols)
+    The rows go through one fraction-free pass, ``_bareiss``, which keeps
+    each independent row as D times its reduced form.  The basis has one
+    vector per free column f, in column order: 1 at f and -kept[pc][f] / D
+    at each pivot column pc.  Every division is exact and no step is
+    probabilistic, so this is the basis read off the reduced row echelon
+    form of all the rows."""
+    kept, _, d = _bareiss(rows, ncols)
     basis = []
     for f in range(ncols):
         if f in kept:
@@ -90,9 +91,11 @@ def solve_z_linear(X: SquareMatrix) -> SolutionSpace:
     otherwise).  Its dim must be a perfect square (DimensionMismatch
     otherwise).  The basis is echelon-normalized with deterministic pivot
     order, and rank + dim = (dim of X)^2 by construction.  Constant
-    entries are lowered to GaussianRationals, and each equation is built
-    as a sparse {column: GaussianRational} row for the one exact pass of
-    ``nullspace``.
+    entries are lowered to GaussianRationals.  M1 = X12 X13 and
+    M2 = X13 X12 = P23 M1 P23, where P23 swaps legs 2 and 3, hold the same
+    entries, so their int forms share one least denominator; each equation
+    is built from their Gaussian integers as one sparse {column: (re, im)}
+    row for the one exact pass of ``nullspace``.
     """
     if not X.is_numeric():
         raise SymbolicInput(
@@ -101,27 +104,29 @@ def solve_z_linear(X: SquareMatrix) -> SolutionSpace:
     n2 = X.dim
     N = _local_dim(X, "X")
     X12, X13 = embed(X, (1, 2)), embed(X, (1, 3))
-    M1 = X12 * X13
-    M2 = X13 * X12
+    (_, m1), (_, m2) = (X12 * X13)._zi, (X13 * X12)._zi
+    m1 = [{c: (a, b) for c, a, b in zrow} for zrow in m1]
+    m2 = [{c: (a, b) for c, a, b in zrow} for zrow in m2]
     # Row (r, c) of the system is entry (r, c) of M1 Z23 - Z23 M2.  With
     # r = (a, x) and c = (b, y) split at leg 1, that entry is
     # sum_k M1[r][b, k] Z[k, y] - sum_l Z[x, l] M2[a, l][c].
     rows = []
     for r in range(N ** 3):
         a, x = divmod(r, n2)
-        m1row = M1.rows[r]
+        m1row = m1[r]
         for c in range(N ** 3):
             b, y = divmod(c, n2)
             row = {}
             for k in range(n2):
-                v = m1row[b * n2 + k]
-                if not v.is_zero():
+                v = m1row.get(b * n2 + k)
+                if v is not None:
                     row[k * n2 + y] = v
             for l in range(n2):
-                v = M2.rows[a * n2 + l][c]
-                if not v.is_zero():
+                v = m2[a * n2 + l].get(c)
+                if v is not None:
                     col = x * n2 + l
-                    row[col] = row[col] - v if col in row else -v
+                    p, q = row.get(col, (0, 0))
+                    row[col] = (p - v[0], q - v[1])
             rows.append(row)
     vecs, rank = nullspace(rows, n2 * n2)
     basis = []

@@ -186,6 +186,8 @@ def _split_index(flat, N):
 def _collect(residual: SquareMatrix, N, cap, family_index=None):
     nonzero = 0
     witnesses = []
+    if residual.is_zero():
+        return nonzero, witnesses
     for i, row in enumerate(residual.rows):
         for j, x in enumerate(row):
             if x.is_zero():

@@ -7,19 +7,28 @@ i1*N^2 + i2*N + i3 with leg 1 most significant; matrices are row-major.
 
 from __future__ import annotations
 
-from math import isqrt, prod
+from math import isqrt
 
-from . import exprparse
+from . import exprparse, zform
 from .errors import (DimensionMismatch, DivisionByZero, ExprSyntaxError, NotInvertible,
                      UnsupportedTransform, ZeroScale, prefixed)
 from .scalar import (ZERO, ONE, GaussianRational, Polynomial, _reduced, as_scalar,
-                     gaussian_integers, invert, is_zero, scalar_str, var_id, var_name)
+                     invert, is_zero, scalar_str, var_id, var_name)
 
 
 class SquareMatrix:
-    """Immutable-by-convention n x n matrix of exact scalars."""
+    """Immutable-by-convention n x n matrix of exact scalars.
 
-    __slots__ = ("dim", "rows")
+    A matrix holds its entries in one or both of two forms, each filled
+    from the other the first time it is read: ``rows``, n lists of n
+    scalars, and ``_zi``.  ``_zi`` is None when an entry is not a
+    GaussianRational, as it is for every result of scalar arithmetic on
+    such a matrix, and otherwise the int form of ``zform``: Gaussian
+    integers over one least denominator.  Numeric arithmetic runs on
+    ``_zi`` and returns a matrix that holds only ``_zi``; ``rows`` reduces
+    each entry, so entries print the same either way."""
+
+    __slots__ = ("dim", "rows", "_zi")
 
     def __init__(self, rows):
         n = len(rows)
@@ -30,6 +39,16 @@ class SquareMatrix:
             lifted.append([as_scalar(x) for x in row])
         self.dim = n
         self.rows = lifted
+
+    def __getattr__(self, name):
+        # called only for a slot never set: fill it from the other form
+        if name == "rows":
+            self.rows = rows = zform.to_rows(self._zi, self.dim)
+            return rows
+        if name == "_zi":
+            self._zi = zi = zform.of_rows(self.rows)
+            return zi
+        raise AttributeError(name)
 
     @staticmethod
     def identity(n):
@@ -47,40 +66,36 @@ class SquareMatrix:
 
     def __add__(self, other):
         self._same_dim(other)
+        x, y = self._zi, other._zi
+        if x is not None and y is not None:
+            return _zmatrix(zform.combined(x, y, 1))
         return _matrix([[a + b for a, b in zip(ra, rb)]
-                        for ra, rb in zip(self.rows, other.rows)])
+                        for ra, rb in zip(self.rows, other.rows)], True)
 
     def __sub__(self, other):
         self._same_dim(other)
+        x, y = self._zi, other._zi
+        if x is not None and y is not None:
+            return _zmatrix(zform.combined(x, y, -1))
         return _matrix([[a - b for a, b in zip(ra, rb)]
-                        for ra, rb in zip(self.rows, other.rows)])
+                        for ra, rb in zip(self.rows, other.rows)], True)
 
     def __neg__(self):
-        return _matrix([[-a for a in row] for row in self.rows])
+        zi = self._zi
+        if zi is not None:
+            return _zmatrix(zform.negated(zi))
+        return _matrix([[-a for a in row] for row in self.rows], True)
 
     def __mul__(self, other):
-        """Matrix product.  When every entry of both factors is a
-        GaussianRational, each factor is scaled to Gaussian integers over
-        one common denominator, the products are summed in ints over the
-        nonzero entries, and each entry is reduced once over the product of
-        the two denominators.  Other entries take the scalar loop."""
+        """Matrix product: ``zform.product`` when both factors have an int
+        form, else the scalar loop."""
         if not isinstance(other, SquareMatrix):
             return NotImplemented
         self._same_dim(other)
         n = self.dim
-        if _all_gaussian(self.rows) and _all_gaussian(other.rows):
-            da, arows = _sparse_gaussian(self.rows)
-            db, brows = _sparse_gaussian(other.rows)
-            d = da * db
-            out = []
-            for arow in arows:
-                re, im = [0] * n, [0] * n
-                for k, xa, xb in arow:
-                    for j, ya, yb in brows[k]:
-                        re[j] += xa * ya - xb * yb
-                        im[j] += xa * yb + xb * ya
-                out.append([_reduced(a, b, d) if a or b else ZERO for a, b in zip(re, im)])
-            return _matrix(out)
+        x, y = self._zi, other._zi
+        if x is not None and y is not None:
+            return _zmatrix(zform.product(x, y))
         out = [[ZERO] * n for _ in range(n)]
         brows = other.rows
         for i in range(n):
@@ -95,17 +110,22 @@ class SquareMatrix:
                     b = brow[j]
                     if not b.is_zero():
                         orow[j] = orow[j] + a * b
-        return _matrix(out)
+        return _matrix(out, True)
 
     def scale(self, s):
         s = as_scalar(s)
-        return _matrix([[s * a for a in row] for row in self.rows])
+        zi = self._zi
+        if zi is not None and type(s) is GaussianRational:
+            return _zmatrix(zform.scaled(zi, s))
+        return _matrix([[s * a for a in row] for row in self.rows], True)
 
     def transpose(self):
-        n = self.dim
-        return _matrix([[self.rows[j][i] for j in range(n)] for i in range(n)])
+        return _moved(self, self.dim, lambda r, c: ((c, r),))
 
     def is_zero(self):
+        zi = self._zi
+        if zi is not None:
+            return not any(zi[1])
         return all(a.is_zero() for row in self.rows for a in row)
 
     def __eq__(self, other):
@@ -137,43 +157,51 @@ class SquareMatrix:
                    for row in self.rows for a in row)
 
     def det(self):
-        """Exact determinant.  For GaussianRational entries, the
-        fraction-free pass ``_bareiss`` on the rows scaled to Z[i]: its last
-        pivot D is the determinant of the scaled rows in the pivot columns'
-        order of discovery, so the determinant is +-D over the product of
-        the row scales, and zero when the rank is short.  Other entries are
-        expanded along the first row by ``_minor``, which never divides."""
+        """Exact determinant.  On the int form (d, zrows), the
+        fraction-free pass ``_bareiss`` on zrows: its last pivot D is the
+        determinant of d times the matrix in the pivot columns' order of
+        discovery, so the determinant is +-D / d^n, and zero when the rank
+        is short.  Other entries are expanded along the first row by
+        ``_minor``, which never divides."""
         n = self.dim
-        if _all_gaussian(self.rows):
-            scaled = [gaussian_integers(dict(enumerate(row))) for row in self.rows]
-            _, order, (da, db) = _bareiss([row for _, row in scaled], n)
+        zi = self._zi
+        if zi is not None:
+            d, zrows = zi
+            _, order, (da, db) = _bareiss([{c: (a, b) for c, a, b in zrow} for zrow in zrows], n)
             if len(order) < n:
                 return ZERO
             if sum(a > b for k, a in enumerate(order) for b in order[k + 1:]) % 2:
                 da, db = -da, -db
-            return _reduced(da, db, prod(s for s, _ in scaled))
+            return _reduced(da, db, d ** n)
         return _minor(self.rows, tuple(range(n)), tuple(range(n)), {})
 
     def inverse(self):
-        """Exact inverse.  For GaussianRational entries, ``_bareiss``
-        reduces [M | I] to D times [I | M^-1], so the inverse is the right
-        half of its kept rows over D.  Other entries take, up to dim 4, the
-        adjugate over the determinant from one ``_minor`` table, and beyond
-        that ``rref`` on [M | I].  Raises NotInvertible on a zero det."""
+        """Exact inverse.  On the int form (d, zrows), ``_bareiss`` reduces
+        d [M | I] to D times [I | M^-1], so the inverse is the right half of
+        its kept rows over D, an int form over |D|^2 until reduced.  Other
+        entries take, up to dim 4, the adjugate over the determinant from
+        one ``_minor`` table, and beyond that ``rref`` on [M | I].  Raises
+        NotInvertible on a zero det."""
         n = self.dim
         idx = tuple(range(n))
-        aug = [row + [ONE if i == j else ZERO for j in idx] for i, row in enumerate(self.rows)]
-        if _all_gaussian(self.rows):
-            kept, order, d = _bareiss([gaussian_integers(dict(enumerate(row)))[1]
-                                       for row in aug], n)
+        zi = self._zi
+        if zi is not None:
+            d, zrows = zi
+            kept, order, (da, db) = _bareiss(
+                [{**{c: (a, b) for c, a, b in zrow}, n + i: (d, 0)}
+                 for i, zrow in enumerate(zrows)], n)
             if len(order) < n:
                 raise NotInvertible("determinant is zero")
-            return _matrix([[_over(kept[i][n + j], d) if n + j in kept[i] else ZERO
-                             for j in idx] for i in idx])
+            # x / D is x * conj(D) / |D|^2
+            return _zmatrix(zform.least(da * da + db * db,
+                                        [[(j - n, xa * da + xb * db, xb * da - xa * db)
+                                          for j, (xa, xb) in kept[i].items() if j >= n]
+                                         for i in idx]))
+        aug = [row + [ONE if i == j else ZERO for j in idx] for i, row in enumerate(self.rows)]
         if n > 4:
             if len(rref(aug, n)) < n:
                 raise NotInvertible("determinant is zero")
-            return _matrix([row[n:] for row in aug])
+            return _matrix([row[n:] for row in aug], True)
         memo = {}
         d = _minor(self.rows, idx, idx, memo)
         if is_zero(d):
@@ -183,7 +211,7 @@ class SquareMatrix:
         def cofactor(i, j):
             m = _minor(self.rows, idx[:i] + idx[i + 1:], idx[:j] + idx[j + 1:], memo)
             return m if (i + j) % 2 == 0 else -m
-        return _matrix([[cofactor(j, i) * dinv for j in idx] for i in idx])
+        return _matrix([[cofactor(j, i) * dinv for j in idx] for i in idx], True)
 
     def __str__(self):
         return matrix_to_text(self)
@@ -192,12 +220,41 @@ class SquareMatrix:
         return "SquareMatrix(dim=%d)" % self.dim
 
 
-def _matrix(rows):
-    """The SquareMatrix of ``rows``: square lists that already hold scalars."""
+def _matrix(rows, scalar=False):
+    """The SquareMatrix of ``rows``: square lists that already hold scalars.
+    ``scalar`` marks rows that scalar arithmetic made from a matrix with an
+    entry that is not a GaussianRational; their ``_zi`` is None without a
+    scan."""
     m = SquareMatrix.__new__(SquareMatrix)
     m.dim = len(rows)
     m.rows = rows
+    if scalar:
+        m._zi = None
     return m
+
+
+def _zmatrix(zi):
+    """The SquareMatrix whose int form is ``zi``."""
+    m = SquareMatrix.__new__(SquareMatrix)
+    m.dim = len(zi[1])
+    m._zi = zi
+    return m
+
+
+def _moved(M, size, places):
+    """The matrix of dim ``size`` that holds each nonzero entry (r, c) of
+    M at every position of ``places(r, c)``, which never share one.  No
+    arithmetic: the result keeps M's form, and each entry its value."""
+    zi = M._zi
+    if zi is not None:
+        return _zmatrix(zform.moved(zi, size, places))
+    rows = [[ZERO] * size for _ in range(size)]
+    for r, row in enumerate(M.rows):
+        for c, x in enumerate(row):
+            if not x.is_zero():
+                for i, j in places(r, c):
+                    rows[i][j] = x
+    return _matrix(rows, True)
 
 
 def _minor(rows, row_indices, col_indices, memo):
@@ -257,23 +314,6 @@ def rref(rows, ncols):
         pivots.append(c)
         r += 1
     return pivots
-
-
-def _all_gaussian(rows):
-    return all(type(x) is GaussianRational for row in rows for x in row)
-
-
-def _sparse_gaussian(rows):
-    """(d, scaled rows): d is the common denominator of the GaussianRational
-    ``rows``, and each scaled row lists (column, re, im) for its nonzero
-    entries times d."""
-    n = len(rows)
-    entries = enumerate(x for row in rows for x in row)
-    d, flat = gaussian_integers({k: x for k, x in entries if x.a or x.b})
-    out = [[] for _ in range(n)]
-    for k, (a, b) in flat.items():
-        out[k // n].append((k % n, a, b))
-    return d, out
 
 
 def _bareiss(rows, ncols):
@@ -368,14 +408,12 @@ def _permute_legs(M: SquareMatrix, perm) -> SquareMatrix:
     legs ``perm`` picks from those four, in order.  No arithmetic: every
     entry keeps its printed form."""
     N = _local_dim(M)
-    out = [[ZERO] * M.dim for _ in range(M.dim)]
-    for r, row in enumerate(M.rows):
-        for c, x in enumerate(row):
-            if not x.is_zero():
-                legs = divmod(r, N) + divmod(c, N)
-                i1, i2, j1, j2 = (legs[k] for k in perm)
-                out[i1 * N + i2][j1 * N + j2] = x
-    return _matrix(out)
+
+    def places(r, c):
+        legs = divmod(r, N) + divmod(c, N)
+        i1, i2, j1, j2 = (legs[k] for k in perm)
+        return ((i1 * N + i2, j1 * N + j2),)
+    return _moved(M, M.dim, places)
 
 
 def flip_matrix(N: int) -> SquareMatrix:
@@ -392,22 +430,10 @@ def embed(M: SquareMatrix, legs) -> SquareMatrix:
         raise DimensionMismatch("legs must be two distinct values in {1,2,3}")
     c = ({1, 2, 3} - {a, b}).pop()
     strides = {1: N * N, 2: N, 3: 1}
-    sa, sb, sc = strides[a], strides[b], strides[c]
-    size = N ** 3
-    out = [[ZERO] * size for _ in range(size)]
-    for ra in range(N):
-        for rb in range(N):
-            mrow = M.rows[ra * N + rb]
-            for ca in range(N):
-                for cb in range(N):
-                    x = mrow[ca * N + cb]
-                    if x.is_zero():
-                        continue
-                    base_r = ra * sa + rb * sb
-                    base_c = ca * sa + cb * sb
-                    for t in range(N):
-                        out[base_r + t * sc][base_c + t * sc] = x
-    return _matrix(out)
+    # M's index x = (xa, xb) lands at base[x] plus a shift of leg c
+    base = [x // N * strides[a] + x % N * strides[b] for x in range(N * N)]
+    shifts = [t * strides[c] for t in range(N)]
+    return _moved(M, N ** 3, lambda r, col: [(base[r] + t, base[col] + t) for t in shifts])
 
 
 def _local_dim(mat: SquareMatrix, role=None) -> int:

@@ -2,12 +2,15 @@
 
 Everything here is deliberately written against raw index formulas with
 no reuse of the leg-embedding, matrix-product or elimination code paths
-under test.
+under test.  Numeric inputs never touch library arithmetic: ``ybc_loops``
+and ``bareiss_rank`` read each entry's ``re`` and ``im`` and compute on
+Python ints.  Only symbolic inputs to ``ybc_loops`` are summed with the
+scalar tower's operators.
 """
 
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import lcm
 
 from ybx.scalar import ZERO, GaussianRational, Monomial, Polynomial
 from ybx.tensor import SquareMatrix
@@ -33,7 +36,82 @@ def embed_oracle(M, legs, N):
 
 
 def ybc_loops(R, S, T, N=2):
-    """[R,S,T] by raw six-index sums, no embedding and no matrix product."""
+    """[R,S,T] = R12 S13 T23 - T23 S13 R12 by raw six-index sums, no
+    embedding and no matrix product.  When every entry of R, S and T is
+    numeric, the sums run on Gaussian integers (``_ybc_ints``); otherwise
+    on the scalar tower (``ybc_tower``)."""
+    factors = [_gaussian_ints(M, N) for M in (R, S, T)]
+    if None in factors:
+        return ybc_tower(R, S, T, N)
+    return _ybc_ints(*factors, N)
+
+
+def _gaussian_ints(M, N):
+    """(L, g) for a numeric M: L is the lcm of the denominators of every
+    entry's re and im, and g maps the row legs (i1, i2) to a list of
+    (j1, j2, re, im), one for each nonzero entry of the row, with re + im*i
+    equal to L times the entry.  None when an entry is a GaussianRational
+    neither as it is nor as a constant Polynomial."""
+    parts = []
+    for r, row in enumerate(M.rows):
+        for c, x in enumerate(row):
+            if isinstance(x, Polynomial) and x.is_constant():
+                x = x.constant_value()
+            if not isinstance(x, GaussianRational):
+                return None
+            if x.re or x.im:
+                parts.append((r, c, x.re, x.im))
+    L = lcm(*(f.denominator for _, _, re, im in parts for f in (re, im)))
+    g = {}
+    for r, c, re, im in parts:
+        g.setdefault(divmod(r, N), []).append(
+            divmod(c, N) + (re.numerator * (L // re.denominator),
+                            im.numerator * (L // im.denominator)))
+    return L, g
+
+
+def _ybc_ints(R, S, T, N):
+    """``ybc_loops`` on the (L, g) forms of ``_gaussian_ints``.  The delta
+    factors leave three free indices in each triple product:
+
+        (R12 S13 T23)[i, j] = sum over k1, k2, l3 of
+            R[i1 i2, k1 k2] S[k1 i3, j1 l3] T[k2 l3, j2 j3]
+        (T23 S13 R12)[i, j] = sum over k2, k3, l1 of
+            T[i2 i3, k2 k3] S[i1 k3, l1 j3] R[l1 k2, j1 j2]
+
+    The loops walk only nonzero entries and sum L_R L_S L_T times each
+    term in ints; each sum is divided by that product once, at the end."""
+    (LR, r), (LS, s), (LT, t) = R, S, T
+    acc = {}
+    for (i1, i2), row in r.items():
+        for k1, k2, *x in row:
+            for i3 in range(N):
+                for j1, l3, *y in s.get((k1, i3), ()):
+                    pa, pb = _cmul(x, y)
+                    for j2, j3, za, zb in t.get((k2, l3), ()):
+                        key = (i1, i2, i3, j1, j2, j3)
+                        re, im = acc.get(key, (0, 0))
+                        acc[key] = (re + pa * za - pb * zb, im + pa * zb + pb * za)
+    for (i2, i3), row in t.items():
+        for k2, k3, *x in row:
+            for i1 in range(N):
+                for l1, j3, *y in s.get((i1, k3), ()):
+                    pa, pb = _cmul(x, y)
+                    for j1, j2, za, zb in r.get((l1, k2), ()):
+                        key = (i1, i2, i3, j1, j2, j3)
+                        re, im = acc.get(key, (0, 0))
+                        acc[key] = (re - pa * za + pb * zb, im - pa * zb - pb * za)
+    L = LR * LS * LT
+    dim = N ** 3
+    out = [[ZERO] * dim for _ in range(dim)]
+    for (i1, i2, i3, j1, j2, j3), (re, im) in acc.items():
+        out[i1 * N * N + i2 * N + i3][j1 * N * N + j2 * N + j3] = GaussianRational(
+            Fraction(re, L), Fraction(im, L))
+    return SquareMatrix(out)
+
+
+def ybc_tower(R, S, T, N=2):
+    """[R,S,T] by raw six-index sums on the scalar tower's operators."""
     def g(M, i, j, k, l):
         return M.rows[i * N + j][k * N + l]
 
@@ -98,14 +176,14 @@ def _cdiv_exact(x, y):
 
 def bareiss_rank(rows):
     """Rank of a matrix of GaussianRational entries via fraction-free
-    elimination over Gaussian integers."""
+    elimination over Gaussian integers: each row is first scaled by the
+    lcm of its parts' denominators."""
     scaled = []
     for row in rows:
-        L = 1
-        for x in row:
-            for f in (x.re, x.im):
-                L = L * f.denominator // gcd(L, f.denominator)
-        scaled.append([(int(x.re * L), int(x.im * L)) for x in row])
+        parts = [(x.re, x.im) for x in row]
+        L = lcm(*(f.denominator for pair in parts for f in pair))
+        scaled.append([(re.numerator * (L // re.denominator),
+                        im.numerator * (L // im.denominator)) for re, im in parts])
     m = scaled
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0

@@ -1,6 +1,6 @@
 """GaussianRational against a reference written here on (Fraction, Fraction)
-pairs.  The oracles compute with GaussianRational itself, so this is the
-check of its arithmetic that does not depend on it."""
+pairs.  The oracles' tower loops compute with GaussianRational itself, so
+this is the check of its arithmetic that does not depend on it."""
 
 from decimal import Decimal
 from fractions import Fraction

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -305,13 +305,19 @@ def test_nullspace_keeps_a_row_that_vanishes_mod_5():
 
 
 def _check_nullspace(rows, ncols):
-    sparse = [{c: x for c, x in enumerate(row) if not x.is_zero()} for row in rows]
-    before = [{c: str(x) for c, x in row.items()} for row in sparse]
+    """``nullspace`` takes each row as the Gaussian integers of its nonzero
+    entries times the lcm of the row's denominators."""
+    sparse = []
+    for row in rows:
+        scale = lcm(*(f.denominator for x in row for f in (x.re, x.im)))
+        sparse.append({c: (int(x.re * scale), int(x.im * scale))
+                       for c, x in enumerate(row) if not x.is_zero()})
+    before = [dict(row) for row in sparse]
     basis, rank = solver.nullspace(sparse, ncols)
     want, want_rank = _rref_nullspace(rows, ncols)
     assert rank == want_rank
     assert [[str(x) for x in v] for v in basis] == [[str(x) for x in v] for v in want]
-    assert [{c: str(x) for c, x in row.items()} for row in sparse] == before
+    assert sparse == before
 
 
 @st.composite

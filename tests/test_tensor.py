@@ -1,5 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
+from math import isqrt, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,7 @@ from ybx.errors import (DimensionMismatch, NotInvertible, UnsupportedTransform,
                         ZeroScale)
 from ybx.exprparse import parse_scalar as ps
 from ybx.scalar import GaussianRational, Polynomial, invert, substitute
-from ybx.tensor import (ColourMatrix, SquareMatrix, _minor, conjugate,
+from ybx.tensor import (ColourMatrix, SquareMatrix, _minor, _permute_legs, conjugate,
                         embed, flip_matrix, kron, matrix_from_text,
                         matrix_to_text, partial_transpose, random_matrix,
                         transform, ybc_colour, ybc_const)
@@ -307,12 +309,13 @@ _DENOMINATORS = (1, 1, 2, 3, 4, 6, 7, 12, 2 ** 40 + 15)
 
 
 @st.composite
-def _pair_factors(draw):
-    """Two n x n matrices of (re, im) Fraction pairs, n in 1..9, each with
-    some of its rows and columns zeroed.  The parts come from a drawn seed:
-    zero, small or wide numerators over mixed denominators, with the
-    imaginary parts all zero unless the draw asks for Gaussian entries."""
-    n = draw(st.integers(1, 9))
+def _pair_factors(draw, sizes=st.integers(1, 9)):
+    """Two n x n matrices of (re, im) Fraction pairs, n drawn from
+    ``sizes``, each with some of its rows and columns zeroed.  The parts
+    come from a drawn seed: zero, small or wide numerators over mixed
+    denominators, with the imaginary parts all zero unless the draw asks
+    for Gaussian entries."""
+    n = draw(sizes)
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     gaussian = draw(st.booleans())
     lines = st.sets(st.integers(0, n - 1), max_size=n)
@@ -363,6 +366,108 @@ def test_product_agrees_with_the_pair_triple_loop(factors, data):
     got = SquareMatrix(A) * SquareMatrix(B)
     assert all(x == GaussianRational(*w) for row, want_row in zip(got.rows, want)
                for x, w in zip(row, want_row))
+
+
+def _pair_matrix(rows):
+    return SquareMatrix([[GaussianRational(*x) for x in row] for row in rows])
+
+
+def _as_pairs(m):
+    """The (re, im) pairs of a matrix's entries, each entry checked to be
+    a GaussianRational in its one printed form, and the int form to be
+    over the lcm of the entries' denominators."""
+    out = []
+    for row in m.rows:
+        assert all(type(x) is GaussianRational for x in row)
+        assert all(str(x) == str(GaussianRational(x.re, x.im)) for x in row)
+        out.append([(x.re, x.im) for x in row])
+    assert m._zi[0] == lcm(*(x.d for row in m.rows for x in row))
+    return out
+
+
+def _pair_embed(m, legs, N):
+    """M on legs ``legs`` of N (x) N (x) N, from the index formula."""
+    a, b = legs
+    c = ({1, 2, 3} - {a, b}).pop()
+    out = []
+    for i in itertools.product(range(N), repeat=3):
+        out.append([m[i[a - 1] * N + i[b - 1]][j[a - 1] * N + j[b - 1]]
+                    if i[c - 1] == j[c - 1] else _ZERO_PAIR
+                    for j in itertools.product(range(N), repeat=3)])
+    return out
+
+
+def _pair_permuted(m, perm, N):
+    out = [[_ZERO_PAIR] * (N * N) for _ in range(N * N)]
+    for legs in itertools.product(range(N), repeat=4):
+        i1, i2, j1, j2 = (legs[k] for k in perm)
+        out[i1 * N + i2][j1 * N + j2] = m[legs[0] * N + legs[1]][legs[2] * N + legs[3]]
+    return out
+
+
+@st.composite
+def _pair_operands(draw):
+    """Three N^2 x N^2 matrices of (re, im) Fraction pairs, N in 1..3, as
+    ``_pair_factors`` draws them, and a nonzero pair to scale by."""
+    a, b = draw(_pair_factors(st.sampled_from([1, 4, 9])))
+    c, _ = draw(_pair_factors(st.just(len(a))))
+    s = (Fraction(draw(st.integers(-9, 9)), draw(st.sampled_from(_DENOMINATORS))),
+         Fraction(draw(st.integers(-9, 9)), draw(st.sampled_from(_DENOMINATORS))))
+    return a, b, c, s
+
+
+_LEGS = [(1, 2), (1, 3), (2, 3), (2, 1), (3, 1), (3, 2)]
+_PERMS = list(itertools.permutations(range(4)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_pair_operands(), st.sampled_from(_LEGS), st.sampled_from(_PERMS))
+def test_int_form_agrees_with_the_pair_references(operands, legs, perm):
+    """Every operation that runs on the int form, and chains of them whose
+    operands hold only the int form, against the same operation on
+    (Fraction, Fraction) pairs; sums and differences of operands over
+    different denominators."""
+    a, b, c, s = operands
+    n = len(a)
+    N = isqrt(n)
+    A, B, C = _pair_matrix(a), _pair_matrix(b), _pair_matrix(c)
+    AB = _pair_product(a, b)
+
+    def pair_sum(x, y, sign=1):
+        return [[(p[0] + sign * q[0], p[1] + sign * q[1]) for p, q in zip(u, v)]
+                for u, v in zip(x, y)]
+
+    scaled = [[(x[0] * s[0] - x[1] * s[1], x[0] * s[1] + x[1] * s[0]) for x in row] for row in a]
+    assert _as_pairs(A + B) == pair_sum(a, b)
+    assert _as_pairs(A - B) == pair_sum(a, b, -1)
+    assert _as_pairs(-A) == [[(-x[0], -x[1]) for x in row] for row in a]
+    assert _as_pairs(A.scale(GaussianRational(*s))) == scaled
+    assert _as_pairs(A.transpose()) == [list(col) for col in zip(*a)]
+    assert _as_pairs(_permute_legs(A, perm)) == _pair_permuted(a, perm, N)
+    assert _as_pairs(embed(A, legs)) == _pair_embed(a, legs, N)
+    assert _as_pairs(A * B * C) == _pair_product(AB, c)
+    assert _as_pairs(A * B - B * A) == pair_sum(AB, _pair_product(b, a), -1)
+    assert _as_pairs((A * B).scale(GaussianRational(*s)) + C) == pair_sum(
+        [[(x[0] * s[0] - x[1] * s[1], x[0] * s[1] + x[1] * s[0]) for x in row] for row in AB], c)
+    assert _as_pairs(embed(A * B, legs) - embed(C, legs)) == pair_sum(
+        _pair_embed(AB, legs, N), _pair_embed(c, legs, N), -1)
+    assert (A * B - B * A).is_zero() == all(p == q for u, v in zip(AB, _pair_product(b, a))
+                                            for p, q in zip(u, v))
+    try:
+        inverse = A.inverse()
+    except NotInvertible:
+        assert A.det() == 0
+    else:
+        assert _as_pairs(inverse.inverse()) == a
+    # an int-form product meets a factor with a Polynomial entry
+    c_poly = [[GaussianRational(*x) for x in row] for row in c]
+    c_poly[0][n - 1] = c_poly[0][n - 1].as_poly()
+    C_poly = SquareMatrix(c_poly)
+    for got, want in ((A * B * C_poly, _pair_product(AB, c)),
+                      (C_poly * (A * B), _pair_product(c, AB)),
+                      (A * B - C_poly, pair_sum(AB, c, -1))):
+        assert all(x == GaussianRational(*w) for row, want_row in zip(got.rows, want)
+                   for x, w in zip(row, want_row))
 
 
 # ---------------------------------------------------------------------------
