@@ -13,10 +13,10 @@ from .errors import (DimensionMismatch, InputNotQbgSolution, NotInvertible,
                      SymbolicInput, YbxError)
 from .scalar import (ZERO, ONE, GaussianRational, Polynomial, as_scalar,
                      is_zero, lowest, scalar_str)
-from .tensor import (SquareMatrix, _bareiss, _local_dim, _over, conjugate, embed,
-                     transform, ybc_const)
+from .tensor import SquareMatrix, _local_dim, conjugate, embed, transform, ybc_const
 from .tensor import rref  # perfbench/tracing.py traces the span solver.rref by this name
 from .systems import SYSTEMS, verify
+from .zform import bareiss, over
 
 
 # ---------------------------------------------------------------------------
@@ -27,13 +27,13 @@ def nullspace(rows, ncols):
     as {column: (re, im)} dicts of Gaussian integers; returns (basis
     vectors of GaussianRationals, rank).
 
-    The rows go through one fraction-free pass, ``_bareiss``, which keeps
-    each independent row as D times its reduced form.  The basis has one
-    vector per free column f, in column order: 1 at f and -kept[pc][f] / D
-    at each pivot column pc.  Every division is exact and no step is
+    The rows go through one fraction-free pass, ``zform.bareiss``, which
+    keeps each independent row as D times its reduced form.  The basis has
+    one vector per free column f, in column order: 1 at f and
+    -kept[pc][f] / D at each pivot column pc.  Every division is exact and no step is
     probabilistic, so this is the basis read off the reduced row echelon
     form of all the rows."""
-    kept, _, d = _bareiss(rows, ncols)
+    kept, _, d = bareiss(rows, ncols)
     basis = []
     for f in range(ncols):
         if f in kept:
@@ -43,7 +43,7 @@ def nullspace(rows, ncols):
         for pc, row in kept.items():
             if f in row:
                 xa, xb = row[f]
-                v[pc] = _over((-xa, -xb), d)
+                v[pc] = over((-xa, -xb), d)
         basis.append(v)
     return basis, len(kept)
 

@@ -12,23 +12,28 @@ from math import isqrt
 from . import exprparse, zform
 from .errors import (DimensionMismatch, DivisionByZero, ExprSyntaxError, NotInvertible,
                      UnsupportedTransform, ZeroScale, prefixed)
-from .scalar import (ZERO, ONE, GaussianRational, Polynomial, _reduced, as_scalar,
-                     invert, is_zero, scalar_str, var_id, var_name)
+from .scalar import (ZERO, ONE, GaussianRational, Polynomial, as_scalar, invert,
+                     is_zero, scalar_str, var_id, var_name)
 
 
 class SquareMatrix:
     """Immutable-by-convention n x n matrix of exact scalars.
 
-    A matrix holds its entries in one or both of two forms, each filled
-    from the other the first time it is read: ``rows``, n lists of n
-    scalars, and ``_zi``.  ``_zi`` is None when an entry is not a
-    GaussianRational, as it is for every result of scalar arithmetic on
-    such a matrix, and otherwise the int form of ``zform``: Gaussian
-    integers over one least denominator.  Numeric arithmetic runs on
-    ``_zi`` and returns a matrix that holds only ``_zi``; ``rows`` reduces
-    each entry, so entries print the same either way."""
+    A matrix holds its entries in one or more of three forms, each filled
+    from another the first time it is read: ``rows``, n lists of n
+    scalars, ``_zi`` and ``_zp``.  ``_zi`` is None when an entry is not a
+    GaussianRational, and otherwise the int form of ``zform``: Gaussian
+    integers over one least denominator.  ``_zp`` is None when an entry
+    is a RationalFunction, and otherwise the polynomial int form of
+    ``zform``: Gaussian-integer coefficients over one least denominator.
+    Arithmetic runs on ``_zi`` when every operand has it; products, sums,
+    differences, negation, leg moves and the zero test run on ``_zp``
+    when every operand has that instead.  Either returns a matrix that
+    holds only its int form; ``rows`` reduces each coefficient, so entries
+    have the type, value and text the scalar loop gives them.  The scalar
+    loop is left for RationalFunction entries."""
 
-    __slots__ = ("dim", "rows", "_zi")
+    __slots__ = ("dim", "rows", "_zi", "_zp")
 
     def __init__(self, rows):
         n = len(rows)
@@ -41,13 +46,20 @@ class SquareMatrix:
         self.rows = lifted
 
     def __getattr__(self, name):
-        # called only for a slot never set: fill it from the other form
+        # called only for a slot never set: fill it from another form.  A
+        # matrix without rows has _zi, and one whose _zi is None has _zp.
         if name == "rows":
-            self.rows = rows = zform.to_rows(self._zi, self.dim)
+            zi = self._zi
+            self.rows = rows = (zform.to_rows(zi, self.dim) if zi is not None
+                                else zform.poly_to_rows(self._zp, self.dim))
             return rows
         if name == "_zi":
             self._zi = zi = zform.of_rows(self.rows)
             return zi
+        if name == "_zp":
+            zi = self._zi
+            self._zp = zp = zform.poly_of(zi) if zi is not None else zform.poly_of_rows(self.rows)
+            return zp
         raise AttributeError(name)
 
     @staticmethod
@@ -69,6 +81,9 @@ class SquareMatrix:
         x, y = self._zi, other._zi
         if x is not None and y is not None:
             return _zmatrix(zform.combined(x, y, 1))
+        m = _on_poly(self, other, zform.poly_combined, 1)
+        if m is not None:
+            return m
         return _matrix([[a + b for a, b in zip(ra, rb)]
                         for ra, rb in zip(self.rows, other.rows)], True)
 
@@ -77,6 +92,9 @@ class SquareMatrix:
         x, y = self._zi, other._zi
         if x is not None and y is not None:
             return _zmatrix(zform.combined(x, y, -1))
+        m = _on_poly(self, other, zform.poly_combined, -1)
+        if m is not None:
+            return m
         return _matrix([[a - b for a, b in zip(ra, rb)]
                         for ra, rb in zip(self.rows, other.rows)], True)
 
@@ -84,18 +102,24 @@ class SquareMatrix:
         zi = self._zi
         if zi is not None:
             return _zmatrix(zform.negated(zi))
+        zp = self._zp
+        if zp is not None:
+            return _pmatrix(zform.poly_negated(zp))
         return _matrix([[-a for a in row] for row in self.rows], True)
 
     def __mul__(self, other):
-        """Matrix product: ``zform.product`` when both factors have an int
-        form, else the scalar loop."""
+        """Matrix product: ``zform.product`` or ``zform.poly_product`` when
+        both factors have that int form, else the scalar loop."""
         if not isinstance(other, SquareMatrix):
             return NotImplemented
         self._same_dim(other)
-        n = self.dim
         x, y = self._zi, other._zi
         if x is not None and y is not None:
             return _zmatrix(zform.product(x, y))
+        m = _on_poly(self, other, zform.poly_product)
+        if m is not None:
+            return m
+        n = self.dim
         out = [[ZERO] * n for _ in range(n)]
         brows = other.rows
         for i in range(n):
@@ -126,6 +150,9 @@ class SquareMatrix:
         zi = self._zi
         if zi is not None:
             return not any(zi[1])
+        zp = self._zp
+        if zp is not None:
+            return zform.poly_is_zero(zp)
         return all(a.is_zero() for row in self.rows for a in row)
 
     def __eq__(self, other):
@@ -157,46 +184,27 @@ class SquareMatrix:
                    for row in self.rows for a in row)
 
     def det(self):
-        """Exact determinant.  On the int form (d, zrows), the
-        fraction-free pass ``_bareiss`` on zrows: its last pivot D is the
-        determinant of d times the matrix in the pivot columns' order of
-        discovery, so the determinant is +-D / d^n, and zero when the rank
-        is short.  Other entries are expanded along the first row by
-        ``_minor``, which never divides."""
-        n = self.dim
+        """Exact determinant: ``zform.det`` on the int form, else expanded
+        along the first row by ``_minor``, which never divides."""
         zi = self._zi
         if zi is not None:
-            d, zrows = zi
-            _, order, (da, db) = _bareiss([{c: (a, b) for c, a, b in zrow} for zrow in zrows], n)
-            if len(order) < n:
-                return ZERO
-            if sum(a > b for k, a in enumerate(order) for b in order[k + 1:]) % 2:
-                da, db = -da, -db
-            return _reduced(da, db, d ** n)
+            return zform.det(zi)
+        n = self.dim
         return _minor(self.rows, tuple(range(n)), tuple(range(n)), {})
 
     def inverse(self):
-        """Exact inverse.  On the int form (d, zrows), ``_bareiss`` reduces
-        d [M | I] to D times [I | M^-1], so the inverse is the right half of
-        its kept rows over D, an int form over |D|^2 until reduced.  Other
-        entries take, up to dim 4, the adjugate over the determinant from
-        one ``_minor`` table, and beyond that ``rref`` on [M | I].  Raises
+        """Exact inverse: ``zform.inverse`` on the int form.  Other entries
+        take, up to dim 4, the adjugate over the determinant from one
+        ``_minor`` table, and beyond that ``rref`` on [M | I].  Raises
         NotInvertible on a zero det."""
         n = self.dim
         idx = tuple(range(n))
         zi = self._zi
         if zi is not None:
-            d, zrows = zi
-            kept, order, (da, db) = _bareiss(
-                [{**{c: (a, b) for c, a, b in zrow}, n + i: (d, 0)}
-                 for i, zrow in enumerate(zrows)], n)
-            if len(order) < n:
+            zi = zform.inverse(zi)
+            if zi is None:
                 raise NotInvertible("determinant is zero")
-            # x / D is x * conj(D) / |D|^2
-            return _zmatrix(zform.least(da * da + db * db,
-                                        [[(j - n, xa * da + xb * db, xb * da - xa * db)
-                                          for j, (xa, xb) in kept[i].items() if j >= n]
-                                         for i in idx]))
+            return _zmatrix(zi)
         aug = [row + [ONE if i == j else ZERO for j in idx] for i, row in enumerate(self.rows)]
         if n > 4:
             if len(rref(aug, n)) < n:
@@ -241,6 +249,28 @@ def _zmatrix(zi):
     return m
 
 
+def _pmatrix(zp):
+    """The SquareMatrix whose polynomial int form is ``zp``; it holds the
+    int form instead when no entry is a Polynomial."""
+    zi = zform.poly_numeric(zp)
+    if zi is not None:
+        return _zmatrix(zi)
+    m = SquareMatrix.__new__(SquareMatrix)
+    m.dim = len(zp[1])
+    m._zi = None
+    m._zp = zp
+    return m
+
+
+def _on_poly(x, y, op, *args):
+    """The matrix ``op`` makes of the polynomial int forms of x and y;
+    None when either has none."""
+    a, b = x._zp, y._zp
+    if a is None or b is None:
+        return None
+    return _pmatrix(op(a, b, *args))
+
+
 def _moved(M, size, places):
     """The matrix of dim ``size`` that holds each nonzero entry (r, c) of
     M at every position of ``places(r, c)``, which never share one.  No
@@ -248,6 +278,9 @@ def _moved(M, size, places):
     zi = M._zi
     if zi is not None:
         return _zmatrix(zform.moved(zi, size, places))
+    zp = M._zp
+    if zp is not None:
+        return _pmatrix(zform.poly_moved(zp, size, places))
     rows = [[ZERO] * size for _ in range(size)]
     for r, row in enumerate(M.rows):
         for c, x in enumerate(row):
@@ -292,7 +325,7 @@ def rref(rows, ncols):
     column list.  In the library only ``inverse`` runs it, on matrices
     above dim 4 with an entry that is not a GaussianRational; numeric
     ``det``, ``inverse`` and ``solver.nullspace`` eliminate with
-    ``_bareiss``."""
+    ``zform.bareiss``."""
     pivots = []
     r = 0
     for c in range(ncols):
@@ -314,68 +347,6 @@ def rref(rows, ncols):
         pivots.append(c)
         r += 1
     return pivots
-
-
-def _bareiss(rows, ncols):
-    """Fraction-free Gauss-Jordan elimination over Z[i] (Bareiss, Math.
-    Comp. 22, 1968), one row at a time.
-
-    Each row is a {column: (re, im)} dict of its nonzero Gaussian-integer
-    entries, and may reach past ``ncols``, as in [M | I].  Each
-    independent row is kept as D times its reduced form, where D is the
-    last pivot: D at its own pivot column and 0 at the others.  A new row
-    x becomes D*x - sum over the pivot columns pc of x[pc]*kept[pc], and
-    is dropped when that is zero on the first ``ncols`` columns.
-    Otherwise its first nonzero column c there takes the next pivot p, and
-    every kept row becomes (p*row - row[c]*x) / D, which divides exactly.
-    No step guesses, so the kept rows over D are the reduced row echelon
-    form of all the rows.  Stops once ``ncols`` rows are kept.
-
-    Returns (kept rows by pivot column, the pivot columns in the order
-    they were found, D as an (re, im) pair)."""
-    kept, order = {}, []
-    da, db = 1, 0
-    for row in rows:
-        x = {j: (da * xa - db * xb, da * xb + db * xa) for j, (xa, xb) in row.items()}
-        for pc, (fa, fb) in row.items():
-            if pc in kept:
-                for j, (ka, kb) in kept[pc].items():
-                    za, zb = x.get(j, (0, 0))
-                    x[j] = (za - fa * ka + fb * kb, zb - fa * kb - fb * ka)
-        x = {j: z for j, z in x.items() if z[0] or z[1]}
-        c = min((j for j in x if j < ncols), default=None)
-        if c is None:
-            continue
-        pa, pb = x[c]
-        n = da * da + db * db
-        for pc, krow in kept.items():
-            f = krow.get(c)
-            if f is None and pa == da and pb == db:
-                continue
-            new = {j: (pa * ka - pb * kb, pa * kb + pb * ka) for j, (ka, kb) in krow.items()}
-            if f is not None:
-                fa, fb = f
-                for j, (ya, yb) in x.items():
-                    za, zb = new.get(j, (0, 0))
-                    new[j] = (za - fa * ya + fb * yb, zb - fa * yb - fb * ya)
-            # z / D is z * conj(D) // N(D), exact in Z[i]
-            if db:
-                kept[pc] = {j: ((za * da + zb * db) // n, (zb * da - za * db) // n)
-                            for j, (za, zb) in new.items() if za or zb}
-            else:
-                kept[pc] = {j: (za // da, zb // da) for j, (za, zb) in new.items() if za or zb}
-        kept[c] = x
-        order.append(c)
-        da, db = pa, pb
-        if len(order) == ncols:
-            break
-    return kept, order, (da, db)
-
-
-def _over(x, d):
-    """The GaussianRational x / d of two Gaussian integers (re, im), d nonzero."""
-    (xa, xb), (da, db) = x, d
-    return _reduced(xa * da + xb * db, xb * da - xa * db, da * da + db * db)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,25 @@
-"""The int form of a numeric matrix, and arithmetic on it in Python ints.
+"""The int forms of a matrix, and arithmetic on them in Python ints.
 
 The int form of an n x n matrix of GaussianRationals is (d, zrows): each
 of the n zrows lists (column, re, im) for the nonzero entries of its row,
 where re + im*i is d times the entry, and d is the least positive integer
-that makes every entry a Gaussian integer.  ``tensor.SquareMatrix`` keeps
-the int form in its ``_zi`` slot and chooses when these functions run;
-each of them returns an int form again.
+that makes every entry a Gaussian integer.
+
+The polynomial int form of an n x n matrix of GaussianRationals and
+Polynomials is (d, prows): each prow lists (column, re, im, is_poly),
+where re and im map each monomial to a nonzero int, the entry is the sum
+over monomials m of (re[m] + im[m]*i)/d times m, and d is again the least
+denominator.  ``is_poly`` says whether the entry reads back as a
+Polynomial: it does exactly when the scalar tower, on the same operands,
+would have made one.  A GaussianRational zero is not listed; a
+Polynomial zero is, with no terms.
+
+``tensor.SquareMatrix`` keeps the int form in its ``_zi`` slot, the
+polynomial one in its ``_zp`` slot, and chooses when these functions run;
+the arithmetic returns an int form again.  No function changes the term
+dicts of its operands, so results may share them.  ``bareiss`` is the one
+exact elimination over Z[i], for ``det``, ``inverse`` and
+``solver.nullspace``.
 """
 
 from __future__ import annotations
@@ -13,7 +27,7 @@ from __future__ import annotations
 from itertools import chain
 from math import gcd, lcm
 
-from .scalar import ZERO, GaussianRational, _reduced
+from .scalar import ZERO, GaussianRational, Polynomial, _mono_mul, _reduced
 
 
 def of_rows(rows):
@@ -126,3 +140,302 @@ def moved(x, size, places):
             for i, j in places(r, c):
                 out[i].append((j, a, b))
     return d, out
+
+
+def bareiss(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination over Z[i] (Bareiss, Math.
+    Comp. 22, 1968), one row at a time.
+
+    Each row is a {column: (re, im)} dict of its nonzero Gaussian-integer
+    entries, and may reach past ``ncols``, as in [M | I].  Each
+    independent row is kept as D times its reduced form, where D is the
+    last pivot: D at its own pivot column and 0 at the others.  A new row
+    x becomes D*x - sum over the pivot columns pc of x[pc]*kept[pc], and
+    is dropped when that is zero on the first ``ncols`` columns.
+    Otherwise its first nonzero column c there takes the next pivot p, and
+    every kept row becomes (p*row - row[c]*x) / D, which divides exactly.
+    No step guesses, so the kept rows over D are the reduced row echelon
+    form of all the rows.  Stops once ``ncols`` rows are kept.
+
+    Returns (kept rows by pivot column, the pivot columns in the order
+    they were found, D as an (re, im) pair)."""
+    kept, order = {}, []
+    da, db = 1, 0
+    for row in rows:
+        x = {j: (da * xa - db * xb, da * xb + db * xa) for j, (xa, xb) in row.items()}
+        for pc, (fa, fb) in row.items():
+            if pc in kept:
+                for j, (ka, kb) in kept[pc].items():
+                    za, zb = x.get(j, (0, 0))
+                    x[j] = (za - fa * ka + fb * kb, zb - fa * kb - fb * ka)
+        x = {j: z for j, z in x.items() if z[0] or z[1]}
+        c = min((j for j in x if j < ncols), default=None)
+        if c is None:
+            continue
+        pa, pb = x[c]
+        n = da * da + db * db
+        for pc, krow in kept.items():
+            f = krow.get(c)
+            if f is None and pa == da and pb == db:
+                continue
+            new = {j: (pa * ka - pb * kb, pa * kb + pb * ka) for j, (ka, kb) in krow.items()}
+            if f is not None:
+                fa, fb = f
+                for j, (ya, yb) in x.items():
+                    za, zb = new.get(j, (0, 0))
+                    new[j] = (za - fa * ya + fb * yb, zb - fa * yb - fb * ya)
+            # z / D is z * conj(D) // N(D), exact in Z[i]
+            if db:
+                kept[pc] = {j: ((za * da + zb * db) // n, (zb * da - za * db) // n)
+                            for j, (za, zb) in new.items() if za or zb}
+            else:
+                kept[pc] = {j: (za // da, zb // da) for j, (za, zb) in new.items() if za or zb}
+        kept[c] = x
+        order.append(c)
+        da, db = pa, pb
+        if len(order) == ncols:
+            break
+    return kept, order, (da, db)
+
+
+def over(x, d):
+    """The GaussianRational x / d of two Gaussian integers (re, im), d nonzero."""
+    (xa, xb), (da, db) = x, d
+    return _reduced(xa * da + xb * db, xb * da - xa * db, da * da + db * db)
+
+
+def det(x):
+    """The determinant of the int form x = (d, zrows): the last pivot D of
+    ``bareiss`` on zrows is the determinant of d times the matrix in the
+    pivot columns' order of discovery, so the determinant is +-D / d^n,
+    and zero when the rank is short."""
+    d, zrows = x
+    n = len(zrows)
+    _, order, (da, db) = bareiss([{c: (a, b) for c, a, b in zrow} for zrow in zrows], n)
+    if len(order) < n:
+        return ZERO
+    if sum(a > b for k, a in enumerate(order) for b in order[k + 1:]) % 2:
+        da, db = -da, -db
+    return _reduced(da, db, d ** n)
+
+
+def inverse(x):
+    """The int form of the inverse of x = (d, zrows), or None when x is
+    singular: ``bareiss`` reduces d [M | I] to D times [I | M^-1], so the
+    inverse is the right half of its kept rows over D, over |D|^2 until
+    reduced."""
+    d, zrows = x
+    n = len(zrows)
+    kept, order, (da, db) = bareiss([{**{c: (a, b) for c, a, b in zrow}, n + i: (d, 0)}
+                                     for i, zrow in enumerate(zrows)], n)
+    if len(order) < n:
+        return None
+    # x / D is x * conj(D) / |D|^2
+    return least(da * da + db * db, [[(j - n, xa * da + xb * db, xb * da - xa * db)
+                                      for j, (xa, xb) in kept[i].items() if j >= n]
+                                     for i in range(n)])
+
+
+# ---------------------------------------------------------------------------
+# the polynomial int form
+
+def poly_of_rows(rows):
+    """The polynomial int form of square ``rows`` of scalars; None when an
+    entry is a RationalFunction."""
+    entries = []
+    d = 1
+    for r, row in enumerate(rows):
+        for c, x in enumerate(row):
+            kind = type(x)
+            if kind is Polynomial:
+                entries.append((r, c, x.terms, True))
+            elif kind is not GaussianRational:
+                return None
+            elif x.a or x.b:
+                entries.append((r, c, {(): x}, False))
+    for _, _, terms, _ in entries:
+        for k in terms.values():
+            if k.d != 1:
+                d = lcm(d, k.d)
+    out = [[] for _ in rows]
+    for r, c, terms, is_poly in entries:
+        re, im = {}, {}
+        for m, k in terms.items():
+            s = d // k.d
+            if k.a:
+                re[m] = k.a * s
+            if k.b:
+                im[m] = k.b * s
+        out[r].append((c, re, im, is_poly))
+    return d, out
+
+
+def poly_of(x):
+    """The polynomial int form of the int form x."""
+    d, zrows = x
+    return d, [[(c, {(): a} if a else {}, {(): b} if b else {}, False) for c, a, b in zrow]
+               for zrow in zrows]
+
+
+def poly_to_rows(x, n):
+    """The n lists of n scalars of the polynomial int form ``x``, each
+    coefficient reduced on its own."""
+    d, prows = x
+    rows = [[ZERO] * n for _ in prows]
+    for row, prow in zip(rows, prows):
+        for c, re, im, is_poly in prow:
+            if not is_poly:
+                row[c] = _reduced(re.get((), 0), im.get((), 0), d)
+                continue
+            terms = {m: _reduced(a, im.get(m, 0), d) for m, a in re.items()}
+            for m, b in im.items():
+                if m not in re:
+                    terms[m] = _reduced(0, b, d)
+            row[c] = Polynomial(terms)
+    return rows
+
+
+def poly_numeric(x):
+    """The int form of the polynomial int form x, or None when an entry of
+    x is a Polynomial."""
+    d, prows = x
+    if any(entry[3] for prow in prows for entry in prow):
+        return None
+    return d, [[(c, re.get((), 0), im.get((), 0)) for c, re, im, _ in prow] for prow in prows]
+
+
+def poly_is_zero(x):
+    """Whether every entry of the polynomial int form x has no terms."""
+    return not any(re or im for prow in x[1] for _, re, im, _ in prow)
+
+
+def _listed(acc):
+    """The prow of ``acc``, a map from column to (re, im, is_poly) over
+    fresh term dicts: zero terms are dropped in place, and then each entry
+    left with no terms that is not a Polynomial."""
+    prow = []
+    for c, (re, im, p) in acc.items():
+        for t in (re, im):
+            if 0 in t.values():
+                for m in [m for m, v in t.items() if not v]:
+                    del t[m]
+        if re or im or p:
+            prow.append((c, re, im, p))
+    return prow
+
+
+def _least(d, prows):
+    """``least`` on fresh term dicts: a factor common to d and every
+    coefficient is divided out in place."""
+    if d != 1:
+        g = d
+        for _, re, im, _ in chain.from_iterable(prows):
+            g = gcd(g, *re.values(), *im.values())
+            if g == 1:
+                return d, prows
+        for _, re, im, _ in chain.from_iterable(prows):
+            for t in (re, im):
+                for m in t:
+                    t[m] //= g
+        d //= g
+    return d, prows
+
+
+def _mul_into(acc, p, q, sign, monos):
+    """acc += sign * p * q for term dicts p and q; ``monos`` caches the
+    monomial products as m1 -> m2 -> m1 m2."""
+    for m1, x in p.items():
+        if sign < 0:
+            x = -x
+        if not m1:
+            for m2, y in q.items():
+                acc[m2] = acc.get(m2, 0) + x * y
+            continue
+        row = monos.get(m1)
+        if row is None:
+            row = monos[m1] = {}
+        for m2, y in q.items():
+            m = row.get(m2)
+            if m is None:
+                m = row[m2] = _mono_mul(m1, m2)
+            acc[m] = acc.get(m, 0) + x * y
+
+
+def poly_product(x, y):
+    """The polynomial int form of the matrix product x y, over the product
+    of the denominators.  An entry is a Polynomial when some product of
+    nonzero entries that reached it had a Polynomial factor."""
+    (da, arows), (db, brows) = x, y
+    monos = {}
+    out = []
+    for arow in arows:
+        acc = {}
+        for k, are, aim, apoly in arow:
+            if not (are or aim):
+                continue
+            for j, bre, bim, bpoly in brows[k]:
+                if not (bre or bim):
+                    continue
+                e = acc.get(j)
+                if e is None:
+                    e = acc[j] = [{}, {}, apoly or bpoly]
+                elif apoly or bpoly:
+                    e[2] = True
+                re, im = e[0], e[1]
+                _mul_into(re, are, bre, 1, monos)
+                if aim:
+                    _mul_into(im, aim, bre, 1, monos)
+                if bim:
+                    _mul_into(im, are, bim, 1, monos)
+                    if aim:
+                        _mul_into(re, aim, bim, -1, monos)
+        out.append(_listed(acc))
+    return _least(da * db, out)
+
+
+def _scaled_terms(t, s):
+    return dict(t) if s == 1 else {m: v * s for m, v in t.items()}
+
+
+def poly_combined(x, y, sign):
+    """The polynomial int form of x + sign * y, over the lcm of their
+    denominators.  An entry is a Polynomial when it is one in x or y."""
+    (da, arows), (db, brows) = x, y
+    d = lcm(da, db)
+    sa, sb = d // da, sign * (d // db)
+    out = []
+    for arow, brow in zip(arows, brows):
+        acc = {c: (_scaled_terms(re, sa), _scaled_terms(im, sa), p) for c, re, im, p in arow}
+        for c, re, im, p in brow:
+            have = acc.get(c)
+            if have is None:
+                acc[c] = (_scaled_terms(re, sb), _scaled_terms(im, sb), p)
+                continue
+            sre, sim, sp = have
+            for t, u in ((sre, re), (sim, im)):
+                for m, v in u.items():
+                    t[m] = t.get(m, 0) + v * sb
+            if p and not sp:
+                acc[c] = (sre, sim, True)
+        out.append(_listed(acc))
+    return _least(d, out)
+
+
+def poly_moved(x, size, places):
+    """``moved`` for the polynomial int form, sharing the term dicts; a
+    Polynomial zero is dropped, as the scalar loop drops it."""
+    d, prows = x
+    out = [[] for _ in range(size)]
+    for r, prow in enumerate(prows):
+        for c, re, im, p in prow:
+            if re or im:
+                for i, j in places(r, c):
+                    out[i].append((j, re, im, p))
+    return d, out
+
+
+def poly_negated(x):
+    """The polynomial int form of -x."""
+    d, prows = x
+    return d, [[(c, {m: -v for m, v in re.items()}, {m: -v for m, v in im.items()}, p)
+                for c, re, im, p in prow] for prow in prows]

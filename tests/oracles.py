@@ -46,12 +46,28 @@ def ybc_loops(R, S, T, N=2):
     return _ybc_ints(*factors, N)
 
 
+# id -> (matrix, N, its _gaussian_ints) for the two matrices seen last:
+# the rank oracle scales the same X for every unit matrix it tries.  The
+# cache holds each matrix, so its id cannot pass to another meanwhile.
+_recent = {}
+
+
 def _gaussian_ints(M, N):
     """(L, g) for a numeric M: L is the lcm of the denominators of every
     entry's re and im, and g maps the row legs (i1, i2) to a list of
     (j1, j2, re, im), one for each nonzero entry of the row, with re + im*i
     equal to L times the entry.  None when an entry is a GaussianRational
     neither as it is nor as a constant Polynomial."""
+    seen = _recent.pop(id(M), None)
+    if seen is None or seen[1] != N:
+        seen = (M, N, _scaled_ints(M, N))
+    _recent[id(M)] = seen
+    if len(_recent) > 2:
+        del _recent[next(iter(_recent))]
+    return seen[2]
+
+
+def _scaled_ints(M, N):
     parts = []
     for r, row in enumerate(M.rows):
         for c, x in enumerate(row):
@@ -162,32 +178,26 @@ def _cmul(x, y):
     return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
 
 
-def _csub(x, y):
-    return (x[0] - y[0], x[1] - y[1])
-
-
-def _cdiv_exact(x, y):
-    n = y[0] * y[0] + y[1] * y[1]
-    re = x[0] * y[0] + x[1] * y[1]
-    im = x[1] * y[0] - x[0] * y[1]
-    assert re % n == 0 and im % n == 0, "Bareiss division not exact"
-    return (re // n, im // n)
-
-
 def bareiss_rank(rows):
     """Rank of a matrix of GaussianRational entries via fraction-free
     elimination over Gaussian integers: each row is first scaled by the
-    lcm of its parts' denominators."""
-    scaled = []
+    lcm of its parts' denominators.  Each entry object is read once; the
+    rows hold them all, so no id is reused meanwhile."""
+    read = {}
+    m = []
     for row in rows:
-        parts = [(x.re, x.im) for x in row]
+        parts = []
+        for x in row:
+            pair = read.get(id(x))
+            if pair is None:
+                pair = read[id(x)] = (x.re, x.im)
+            parts.append(pair)
         L = lcm(*(f.denominator for pair in parts for f in pair))
-        scaled.append([(re.numerator * (L // re.denominator),
-                        im.numerator * (L // im.denominator)) for re, im in parts])
-    m = scaled
+        m.append([(re.numerator * (L // re.denominator),
+                   im.numerator * (L // im.denominator)) for re, im in parts])
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
-    prev = (1, 0)
+    pa, pb = 1, 0
     r = 0
     for c in range(ncols):
         piv = None
@@ -198,13 +208,25 @@ def bareiss_rank(rows):
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        pivval = m[r][c]
+        top = m[r]
+        va, vb = top[c]
+        n = pa * pa + pb * pb
         for rr in range(r + 1, nrows):
+            row = m[rr]
+            fa, fb = row[c]
             for cc in range(c + 1, ncols):
-                num = _csub(_cmul(m[rr][cc], pivval), _cmul(m[rr][c], m[r][cc]))
-                m[rr][cc] = _cdiv_exact(num, prev)
-            m[rr][c] = (0, 0)
-        prev = pivval
+                # (row[cc] * pivot - row[c] * top[cc]) / previous pivot, exactly
+                xa, xb = row[cc]
+                ya, yb = top[cc]
+                if not (xa or xb) and not (fa or fb and (ya or yb)):
+                    continue
+                za = xa * va - xb * vb - fa * ya + fb * yb
+                zb = xa * vb + xb * va - fa * yb - fb * ya
+                re, im = za * pa + zb * pb, zb * pa - za * pb
+                assert re % n == 0 and im % n == 0, "Bareiss division not exact"
+                row[cc] = (re // n, im // n)
+            row[c] = (0, 0)
+        pa, pb = va, vb
         r += 1
     return r
 

@@ -317,6 +317,15 @@ def test_solve_z_reads_a_zero_quotient_as_zero(capsys, tmp_path):
     assert out.split("\n", 1)[1] == flip.split("\n", 1)[1]
 
 
+def test_solve_z_refuses_x_above_dim_16_before_solving(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("solve_z_linear called")
+    monkeypatch.setattr(cli.solver, "solve_z_linear", refuse)
+    code, out, err = run(capsys, "solve-z", "--X", "random[dim=25,seed=1]")
+    assert (code, out) == (2, "")
+    assert err == "error: --X must have dim at most 16 for solve-z, got 25\n"
+
+
 def test_solve_z_symbolic_is_usage_error(capsys, tmp_path):
     path = tmp_path / "sym.mat"
     path.write_text("dim 2\nvars a\na, 0\n0, 1\n")

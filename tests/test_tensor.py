@@ -6,12 +6,12 @@ from math import isqrt, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import embed_oracle, ybc_loops
+from oracles import embed_oracle, ybc_loops, ybc_tower
 from ybx.catalog import instantiate
 from ybx.errors import (DimensionMismatch, NotInvertible, UnsupportedTransform,
                         ZeroScale)
 from ybx.exprparse import parse_scalar as ps
-from ybx.scalar import GaussianRational, Polynomial, invert, substitute
+from ybx.scalar import ZERO, GaussianRational, Polynomial, invert, substitute, var_id
 from ybx.tensor import (ColourMatrix, SquareMatrix, _minor, _permute_legs, conjugate,
                         embed, flip_matrix, kron, matrix_from_text,
                         matrix_to_text, partial_transpose, random_matrix,
@@ -231,7 +231,7 @@ def test_inverse_beyond_adjugate_size():
 
 
 def _expanded(rows):
-    """The determinant by cofactor expansion, independent of ``_bareiss``."""
+    """The determinant by cofactor expansion, independent of ``zform.bareiss``."""
     idx = tuple(range(len(rows)))
     return _minor(rows, idx, idx, {})
 
@@ -267,7 +267,7 @@ def _symbolic_matrices(n):
 @pytest.mark.parametrize("n", [5, 6, 9])
 def test_symbolic_det_and_inverse_beyond_dim_4(n):
     """The determinant of a symbolic matrix commutes with substituting q:
-    at each point it is the ``_bareiss`` determinant of the numeric
+    at each point it is the ``zform.bareiss`` determinant of the numeric
     matrix.  The sparse matrix times its inverse is the identity."""
     sparse, dense = _symbolic_matrices(n)
     for A in (sparse, dense):
@@ -468,6 +468,137 @@ def test_int_form_agrees_with_the_pair_references(operands, legs, perm):
                       (A * B - C_poly, pair_sum(AB, c, -1))):
         assert all(x == GaussianRational(*w) for row, want_row in zip(got.rows, want)
                    for x, w in zip(row, want_row))
+
+
+# ---------------------------------------------------------------------------
+# the polynomial int form against the scalar tower's loops
+
+def _tower_product(a, b):
+    """The product of two lists of scalar rows by the scalar loop: each
+    entry starts as ZERO and adds x * y over its nonzero pairs."""
+    n = len(a)
+    out = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for k in range(n):
+            if a[i][k].is_zero():
+                continue
+            for j in range(n):
+                if not b[k][j].is_zero():
+                    out[i][j] = out[i][j] + a[i][k] * b[k][j]
+    return out
+
+
+def _tower_moved(a, at):
+    """Rows whose entry (i, j) is a[at(i, j)], ZERO where that is zero:
+    moving entries drops a Polynomial zero."""
+    n = len(a)
+    out = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            r, c = at(i, j)
+            if not a[r][c].is_zero():
+                out[i][j] = a[r][c]
+    return out
+
+
+def _same_entries(got, want):
+    """Entry by entry: the same type, value and text."""
+    assert len(got.rows) == len(want)
+    for row, want_row in zip(got.rows, want):
+        for x, w in zip(row, want_row):
+            assert type(x) is type(w) and x == w and str(x) == str(w), (x, w)
+
+
+@st.composite
+def _scalar_rows(draw, n, numeric=False):
+    """n x n scalars from a drawn seed: GaussianRational zeros and values
+    over mixed denominators, and, unless ``numeric``, Polynomials with up
+    to three terms over Laurent monomials in q and s, constant ones and
+    Polynomial zeros."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    q, s = var_id("q"), var_id("s")
+
+    def gaussian():
+        def part():
+            return Fraction(rng.randint(-5, 5), rng.choice([1, 1, 2, 3, 6, 7]))
+        return GaussianRational(part(), part() if rng.random() < 0.3 else 0)
+
+    def entry():
+        u = rng.random()
+        if numeric or u < 0.55:
+            return ZERO if rng.random() < 0.4 else gaussian()
+        if u < 0.65:
+            return Polynomial({})
+        if u < 0.72:
+            c = gaussian()
+            return Polynomial({(): c if not c.is_zero() else GaussianRational(1)})
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            mono = tuple((v, e) for v, e in ((q, rng.randint(-2, 2)), (s, rng.randint(-2, 2))) if e)
+            c = gaussian()
+            if not c.is_zero():
+                terms[mono] = c
+        return Polynomial(terms)
+    return [[entry() for _ in range(n)] for _ in range(n)]
+
+
+@st.composite
+def _mixed_operands(draw):
+    """Three N^2 x N^2 operands, N in 1..2, that mix GaussianRationals
+    and Polynomials; the third is sometimes numeric."""
+    n = draw(st.sampled_from([1, 4]))
+    a, b = draw(_scalar_rows(n)), draw(_scalar_rows(n))
+    c = draw(_scalar_rows(n, numeric=draw(st.booleans())))
+    return a, b, c
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mixed_operands(), st.sampled_from(_PERMS))
+def test_polynomial_int_form_agrees_with_the_tower_loops(operands, perm):
+    """Products, sums, differences, negation, leg moves and the zero test
+    on matrices of GaussianRationals and Polynomials, including chains
+    whose operands hold only the int form: every entry has the type,
+    value and text of the scalar loops' entry."""
+    a, b, c = operands
+    n = len(a)
+    N = isqrt(n)
+    A, B, C = SquareMatrix(a), SquareMatrix(b), SquareMatrix(c)
+    ab = _tower_product(a, b)
+    _same_entries(A * B, ab)
+    _same_entries(A * B * C, _tower_product(ab, c))
+    _same_entries(C * (A * B), _tower_product(c, ab))
+    _same_entries(A + B, [[x + y for x, y in zip(u, v)] for u, v in zip(a, b)])
+    _same_entries(A - C, [[x - y for x, y in zip(u, v)] for u, v in zip(a, c)])
+    _same_entries(A * B - C, [[x - y for x, y in zip(u, v)] for u, v in zip(ab, c)])
+    _same_entries(-(A * B), [[-x for x in row] for row in ab])
+    _same_entries(A.transpose(), _tower_moved(a, lambda i, j: (j, i)))
+    _same_entries((A * B).transpose(), _tower_moved(ab, lambda i, j: (j, i)))
+
+    def permuted(i, j):
+        legs = [0] * 4
+        for k, leg in zip(perm, divmod(i, N) + divmod(j, N)):
+            legs[k] = leg
+        return legs[0] * N + legs[1], legs[2] * N + legs[3]
+    _same_entries(_permute_legs(A * B, perm), _tower_moved(ab, permuted))
+    for legs in _LEGS:
+        _same_entries(embed(A, legs), embed_oracle(A, legs, N).rows)
+        _same_entries(embed(A * B, legs), embed_oracle(SquareMatrix(ab), legs, N).rows)
+    assert (A * B - A * B).is_zero() and (A - A).is_zero()
+    assert (A * B - C).is_zero() == all(x == y for u, v in zip(ab, c) for x, y in zip(u, v))
+    got, want = ybc_const(A, B, C), ybc_tower(A, B, C, N)
+    assert all(x == w for row, want_row in zip(got.rows, want.rows)
+               for x, w in zip(row, want_row))
+
+
+def test_a_polynomial_zero_entry_is_zero():
+    zero = Polynomial({})
+    M = SquareMatrix([[zero, ZERO], [ZERO, zero]])
+    assert M.is_zero() and (M * M).is_zero() and (M - M).is_zero() and (-M).is_zero()
+    assert [type(x) for row in (M - M).rows for x in row] == [Polynomial, GaussianRational,
+                                                              GaussianRational, Polynomial]
+    q = Polynomial.variable("q")
+    D = SquareMatrix([[q, 1], [0, q]]) - SquareMatrix([[q, 1], [0, q]])
+    assert D.is_zero() and not (D + SquareMatrix.identity(2)).is_zero()
 
 
 # ---------------------------------------------------------------------------
