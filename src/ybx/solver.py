@@ -12,7 +12,7 @@ from . import exprparse
 from .errors import (DimensionMismatch, InputNotQbgSolution, NotInvertible,
                      SymbolicInput, YbxError)
 from .scalar import (ZERO, ONE, GaussianRational, Polynomial, as_scalar,
-                     is_zero, lowest, scalar_str)
+                     is_zero, lowest, scalar_str, var_id)
 from .tensor import SquareMatrix, _local_dim, conjugate, embed, transform, ybc_const
 from .tensor import rref  # perfbench/tracing.py traces the span solver.rref by this name
 from .systems import SYSTEMS, verify
@@ -166,9 +166,15 @@ def filter_ybe(space: SolutionSpace) -> PolySystem:
     of the cubic commutator [Z,Z,Z] as polynomials in the c_i.  Does not
     solve the system."""
     names = ["c%d" % (i + 1) for i in range(space.dim)]
-    Z = SquareMatrix.zeros(space.member_dim)
+    n = space.member_dim
+    terms = [[{} for _ in range(n)] for _ in range(n)]
     for name, m in zip(names, space.basis):
-        Z = Z + m.scale(Polynomial.variable(name))
+        mono = ((var_id(name), 1),)
+        for row, basis_row in zip(terms, m.rows):
+            for entry, x in zip(row, basis_row):
+                if not x.is_zero():
+                    entry[mono] = x
+    Z = SquareMatrix([[Polynomial(t) if t else ZERO for t in row] for row in terms])
     res = ybc_const(Z, Z, Z)
     equations = [x for row in res.rows for x in row if not x.is_zero()]
     return PolySystem(names, equations)

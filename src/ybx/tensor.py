@@ -11,9 +11,16 @@ from math import isqrt
 
 from . import exprparse, zform
 from .errors import (DimensionMismatch, DivisionByZero, ExprSyntaxError, NotInvertible,
-                     UnsupportedTransform, ZeroScale, prefixed)
+                     UnsupportedTransform, YbxError, ZeroScale, prefixed)
 from .scalar import (ZERO, ONE, GaussianRational, Polynomial, as_scalar, invert,
                      is_zero, scalar_str, var_id, var_name)
+
+# The most minors one symbolic det or inverse may expand.  A dense
+# symbolic inverse needs 2,788 at dim 9 and 13,278 at dim 11 (0.8 s), about
+# 2.2 times more per step of dim, so a dense dim-16 file stops after about
+# 1 s and 36 MiB instead of exhausting memory (2-vCPU Intel Xeon guest,
+# Python 3.11).
+MAX_MINORS = 20_000
 
 
 class SquareMatrix:
@@ -194,32 +201,28 @@ class SquareMatrix:
 
     def inverse(self):
         """Exact inverse: ``zform.inverse`` on the int form.  Other entries
-        take, up to dim 4, the adjugate over the determinant from one
-        ``_minor`` table, and beyond that ``rref`` on [M | I].  Raises
-        NotInvertible on a zero det."""
-        n = self.dim
-        idx = tuple(range(n))
+        split into the blocks of ``_blocks``, and each block's inverse is
+        its adjugate over its determinant, all from one ``_minor`` table.
+        Raises NotInvertible on a zero det."""
         zi = self._zi
         if zi is not None:
             zi = zform.inverse(zi)
             if zi is None:
                 raise NotInvertible("determinant is zero")
             return _zmatrix(zi)
-        aug = [row + [ONE if i == j else ZERO for j in idx] for i, row in enumerate(self.rows)]
-        if n > 4:
-            if len(rref(aug, n)) < n:
-                raise NotInvertible("determinant is zero")
-            return _matrix([row[n:] for row in aug], True)
+        rows, n = self.rows, self.dim
+        out = [[ZERO] * n for _ in range(n)]
         memo = {}
-        d = _minor(self.rows, idx, idx, memo)
-        if is_zero(d):
-            raise NotInvertible("determinant is zero")
-        dinv = 1 / d
-
-        def cofactor(i, j):
-            m = _minor(self.rows, idx[:i] + idx[i + 1:], idx[:j] + idx[j + 1:], memo)
-            return m if (i + j) % 2 == 0 else -m
-        return _matrix([[cofactor(j, i) * dinv for j in idx] for i in idx], True)
+        for rs, cs in _blocks(rows):
+            d = _minor(rows, rs, cs, memo) if len(rs) == len(cs) else ZERO
+            if is_zero(d):
+                raise NotInvertible("determinant is zero")
+            dinv = 1 / d
+            for i, r in enumerate(rs):
+                for j, c in enumerate(cs):
+                    m = _minor(rows, rs[:i] + rs[i + 1:], cs[:j] + cs[j + 1:], memo)
+                    out[c][r] = (m if (i + j) % 2 == 0 else -m) * dinv
+        return _matrix(out, True)
 
     def __str__(self):
         return matrix_to_text(self)
@@ -290,6 +293,29 @@ def _moved(M, size, places):
     return _matrix(rows, True)
 
 
+def _blocks(rows):
+    """The connected components of the bipartite graph that joins row r to
+    column c when entry (r, c) is nonzero (the coarse Dulmage-Mendelsohn
+    decomposition, Canad. J. Math. 10, 1958), each as (row indices, column
+    indices) in increasing order; a zero row is a block with no column.
+    A union-find over rows 0..n-1 and columns n..2n-1."""
+    n = len(rows)
+    parent = list(range(2 * n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+    for r, row in enumerate(rows):
+        for c, x in enumerate(row):
+            if not x.is_zero():
+                parent[find(r)] = find(n + c)
+    blocks = {}
+    for x in range(2 * n):
+        blocks.setdefault(find(x), ([], []))[x >= n].append(x % n)
+    return [(tuple(rs), tuple(cs)) for rs, cs in blocks.values()]
+
+
 def _minor(rows, row_indices, col_indices, memo):
     """Determinant of ``rows`` on the index tuples ``row_indices`` and
     ``col_indices``, expanded along the first row, columns in order, with
@@ -301,6 +327,9 @@ def _minor(rows, row_indices, col_indices, memo):
     m = memo.get(key)
     if m is not None:
         return m
+    if len(memo) >= MAX_MINORS:
+        raise YbxError("a symbolic det or inverse must expand at most %d minors, "
+                       "this one needs more" % MAX_MINORS)
     if len(col_indices) < 2:
         m = rows[row_indices[0]][col_indices[0]] if col_indices else ONE
     elif len(col_indices) == 2:
@@ -322,10 +351,10 @@ def rref(rows, ncols):
     """In-place reduced row echelon form of ``rows`` over their first
     ``ncols`` columns (a row may be wider, as in [M | I]) with exact field
     arithmetic, for entries anywhere in the tower; returns the pivot
-    column list.  In the library only ``inverse`` runs it, on matrices
-    above dim 4 with an entry that is not a GaussianRational; numeric
-    ``det``, ``inverse`` and ``solver.nullspace`` eliminate with
-    ``zform.bareiss``."""
+    column list.  No library code runs it: numeric ``det``, ``inverse`` and
+    ``solver.nullspace`` eliminate with ``zform.bareiss``, and symbolic
+    ones expand ``_minor``.  It stays while the benchmark traces the span
+    ``solver.rref``."""
     pivots = []
     r = 0
     for c in range(ncols):

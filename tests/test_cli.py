@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ybx import cli
-from ybx.tensor import matrix_from_text
+from ybx.tensor import MAX_MINORS, matrix_from_text
 
 
 def run(capsys, *argv):
@@ -374,6 +374,20 @@ def test_orbit_singular_middle_is_math_failure(capsys, tmp_path):
                        "--word", "dsym2:+-")
     assert code == 1
     assert "dsym2" in err
+
+
+def test_orbit_refuses_a_dense_symbolic_inverse_past_the_minor_bound(capsys, tmp_path):
+    path = tmp_path / "dense16.mat"
+    path.write_text("dim 16\nvars q\n" + "".join(
+        ", ".join("q" if i == j else str((5 * i + 3 * j) % 7 - 3) for j in range(16)) + "\n"
+        for i in range(16)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "orbit", "--W", "file:%s" % path, "--X", "file:%s" % path,
+                         "--Z", "file:%s" % path, "--word", "dsym2:+-")
+    assert time.perf_counter() - start < 10
+    assert (code, out) == (2, "")
+    assert err == ("error: a symbolic det or inverse must expand at most %d minors, "
+                   "this one needs more\n" % MAX_MINORS)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from ybx.errors import (DimensionMismatch, NotInvertible, UnsupportedTransform,
                         ZeroScale)
 from ybx.exprparse import parse_scalar as ps
 from ybx.scalar import ZERO, GaussianRational, Polynomial, invert, substitute, var_id
-from ybx.tensor import (ColourMatrix, SquareMatrix, _minor, _permute_legs, conjugate,
+from ybx.tensor import (ColourMatrix, SquareMatrix, _blocks, _minor, _permute_legs, conjugate,
                         embed, flip_matrix, kron, matrix_from_text,
                         matrix_to_text, partial_transpose, random_matrix,
                         transform, ybc_colour, ybc_const)
@@ -253,31 +253,61 @@ def test_det_beyond_cofactor_size():
 
 
 def _symbolic_matrices(n):
-    """Two n x n matrices in q: q + k at (k, k) with a fixed sparse numeric
-    pattern off the diagonal, and the dense ``random_matrix(n, 1)`` with q
-    added at (0, 0)."""
+    """Three n x n matrices in q: q + k at (k, k) with a fixed sparse numeric
+    pattern off the diagonal; the dense ``random_matrix(n, 1)`` with q
+    added at (0, 0); and ((7i + 3j) mod 5) - 2 off a diagonal of -2q, one
+    block with about a fifth of its entries zero."""
     q = Polynomial.variable("q")
     sparse = [[q + i if i == j else (7 * i + 3 * j) % 5 - 2 if i + j == n - 1
                else 1 if j == i + 1 and i % 3 == 0 else 0 for j in range(n)] for i in range(n)]
     dense = [row[:] for row in random_matrix(n, 1).rows]
     dense[0][0] = dense[0][0] + q
-    return SquareMatrix(sparse), SquareMatrix(dense)
+    cyclic = [[-2 * q if i == j else (7 * i + 3 * j) % 5 - 2 for j in range(n)]
+              for i in range(n)]
+    return SquareMatrix(sparse), SquareMatrix(dense), SquareMatrix(cyclic)
 
 
 @pytest.mark.parametrize("n", [5, 6, 9])
 def test_symbolic_det_and_inverse_beyond_dim_4(n):
     """The determinant of a symbolic matrix commutes with substituting q:
     at each point it is the ``zform.bareiss`` determinant of the numeric
-    matrix.  The sparse matrix times its inverse is the identity."""
-    sparse, dense = _symbolic_matrices(n)
-    for A in (sparse, dense):
+    matrix.  Each matrix times its inverse is the identity."""
+    for A in _symbolic_matrices(n):
         d = A.det()
         assert d.variables()
         for v in (2, 3, Fraction(-1, 2)):
             B = A.substitute({"q": v})
             assert all(type(x) is GaussianRational for row in B.rows for x in row)
             assert substitute(d, {"q": v}) == B.det()
-    assert sparse * sparse.inverse() == SquareMatrix.identity(n)
+        assert A * A.inverse() == SquareMatrix.identity(n)
+
+
+def test_symbolic_inverse_of_independent_blocks():
+    """Rows 0 and 3 meet only columns 1 and 2, rows 1 and 2 only columns
+    0 and 3: two blocks, each with a determinant of several terms.  The
+    inverse of a block on rows R and columns C sits on rows C and columns
+    R, and is zero between the blocks."""
+    A = M([[0, "q*s + 2", "q - s", 0],
+           ["q", 0, 0, 2],
+           [1, 0, 0, "q*s + 2"],
+           [0, 1, "q + 1", 0]])
+    assert _blocks(A.rows) == [((0, 3), (1, 2)), ((1, 2), (0, 3))]
+    Ai = A.inverse()
+    assert A * Ai == SquareMatrix.identity(4) == Ai * A
+    for i, j in itertools.product(range(4), repeat=2):
+        if (i in (1, 2)) != (j in (0, 3)):
+            assert Ai.rows[i][j] is ZERO
+
+
+@pytest.mark.parametrize("cells", [
+    [["q*s + 2", "q - s", 0], [0, 0, 0], [1, 0, "q"]],            # a zero row
+    [["q*s + 2", 0, 0], ["q - s", 0, 0], [0, "q", "q*s + 2"]],    # 2 rows meet 1 column
+], ids=["zero_row", "two_rows_one_column"])
+def test_symbolic_inverse_of_a_block_that_is_not_square(cells):
+    A = M(cells)
+    assert A.det() == 0
+    with pytest.raises(NotInvertible, match="determinant is zero"):
+        A.inverse()
 
 
 def _gaussian_matrix(n, seed):
