@@ -38,6 +38,11 @@ class NotInvertible(YbxError):
     """Inverse required but the determinant is zero (or not a unit)."""
 
 
+class TooManyMinors(YbxError):
+    """A symbolic det or inverse would expand more minors than
+    ``tensor.MAX_MINORS``."""
+
+
 class UnsupportedTransform(YbxError):
     """Transform tag not defined for this kind of matrix."""
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from . import exprparse
 from .errors import (DimensionMismatch, InputNotQbgSolution, NotInvertible,
-                     SymbolicInput, YbxError)
+                     SymbolicInput, TooManyMinors, YbxError, prefixed)
 from .scalar import (ZERO, ONE, GaussianRational, Polynomial, as_scalar,
                      is_zero, lowest, scalar_str, var_id)
 from .tensor import SquareMatrix, _local_dim, conjugate, embed, transform, ybc_const
@@ -23,9 +23,9 @@ from .zform import bareiss, over
 # exact linear algebra over the scalar field
 
 def nullspace(rows, ncols):
-    """Echelon-normalized nullspace basis of rows * x = 0, for rows given
-    as {column: (re, im)} dicts of Gaussian integers; returns (basis
-    vectors of GaussianRationals, rank).
+    """Echelon-normalized nullspace basis of rows * x = 0, for any iterable
+    of rows given as {column: (re, im)} dicts of Gaussian integers; returns
+    (basis vectors of GaussianRationals, rank).
 
     The rows go through one fraction-free pass, ``zform.bareiss``, which
     keeps each independent row as D times its reduced form.  The basis has
@@ -102,19 +102,30 @@ def solve_z_linear(X: SquareMatrix) -> SolutionSpace:
             "solve_z_linear needs numeric entries; substitute parameters first")
     X = SquareMatrix([[lowest(a) for a in row] for row in X.rows])
     n2 = X.dim
-    N = _local_dim(X, "X")
+    _local_dim(X, "X")
     X12, X13 = embed(X, (1, 2)), embed(X, (1, 3))
     (_, m1), (_, m2) = (X12 * X13)._zi, (X13 * X12)._zi
+    vecs, rank = nullspace(_z_rows(m1, m2, n2), n2 * n2)
+    basis = []
+    for v in vecs:
+        basis.append(SquareMatrix([[v[i * n2 + j] for j in range(n2)]
+                                   for i in range(n2)]))
+    return SolutionSpace(n2, basis, rank)
+
+
+def _z_rows(m1, m2, n2):
+    """The rows of the system of ``solve_z_linear``, one at a time, so
+    that ``nullspace`` stops building them once it has full rank."""
     m1 = [{c: (a, b) for c, a, b in zrow} for zrow in m1]
     m2 = [{c: (a, b) for c, a, b in zrow} for zrow in m2]
     # Row (r, c) of the system is entry (r, c) of M1 Z23 - Z23 M2.  With
     # r = (a, x) and c = (b, y) split at leg 1, that entry is
     # sum_k M1[r][b, k] Z[k, y] - sum_l Z[x, l] M2[a, l][c].
-    rows = []
-    for r in range(N ** 3):
+    size = len(m1)
+    for r in range(size):
         a, x = divmod(r, n2)
         m1row = m1[r]
-        for c in range(N ** 3):
+        for c in range(size):
             b, y = divmod(c, n2)
             row = {}
             for k in range(n2):
@@ -127,13 +138,7 @@ def solve_z_linear(X: SquareMatrix) -> SolutionSpace:
                     col = x * n2 + l
                     p, q = row.get(col, (0, 0))
                     row[col] = (p - v[0], q - v[1])
-            rows.append(row)
-    vecs, rank = nullspace(rows, n2 * n2)
-    basis = []
-    for v in vecs:
-        basis.append(SquareMatrix([[v[i * n2 + j] for j in range(n2)]
-                                   for i in range(n2)]))
-    return SolutionSpace(n2, basis, rank)
+            yield row
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +260,8 @@ def _step_apply(triple, step):
     try:
         return tuple(transform(triple[k], tag)
                      for k, tag in zip(slots, (left, middle, right)))
-    except NotInvertible as exc:
-        raise NotInvertible("step %s: %s" % (step[0], exc)) from None
+    except (NotInvertible, TooManyMinors) as exc:
+        raise prefixed(exc, "step " + step[0]) from None
 
 
 def apply_transform(triple, spec: TransformSpec):

@@ -11,7 +11,7 @@ from math import isqrt
 
 from . import exprparse, zform
 from .errors import (DimensionMismatch, DivisionByZero, ExprSyntaxError, NotInvertible,
-                     UnsupportedTransform, YbxError, ZeroScale, prefixed)
+                     TooManyMinors, UnsupportedTransform, ZeroScale, prefixed)
 from .scalar import (ZERO, ONE, GaussianRational, Polynomial, as_scalar, invert,
                      is_zero, scalar_str, var_id, var_name)
 
@@ -33,7 +33,8 @@ class SquareMatrix:
     integers over one least denominator.  ``_zp`` is None when an entry
     is a RationalFunction, and otherwise the polynomial int form of
     ``zform``: Gaussian-integer coefficients over one least denominator.
-    Arithmetic runs on ``_zi`` when every operand has it; products, sums,
+    Arithmetic runs on ``_zi`` when every operand has it, and so does
+    ``ybc_const``, through ``zform.commutator``; products, sums,
     differences, negation, leg moves and the zero test run on ``_zp``
     when every operand has that instead.  Either returns a matrix that
     holds only its int form; ``rows`` reduces each coefficient, so entries
@@ -328,8 +329,8 @@ def _minor(rows, row_indices, col_indices, memo):
     if m is not None:
         return m
     if len(memo) >= MAX_MINORS:
-        raise YbxError("a symbolic det or inverse must expand at most %d minors, "
-                       "this one needs more" % MAX_MINORS)
+        raise TooManyMinors("a symbolic det or inverse must expand at most %d minors, "
+                            "this one needs more" % MAX_MINORS)
     if len(col_indices) < 2:
         m = rows[row_indices[0]][col_indices[0]] if col_indices else ONE
     elif len(col_indices) == 2:
@@ -446,9 +447,19 @@ def _local_dim(mat: SquareMatrix, role=None) -> int:
 
 
 def ybc_const(R: SquareMatrix, S: SquareMatrix, T: SquareMatrix) -> SquareMatrix:
-    """Constant Yang-Baxter commutator R12 S13 T23 - T23 S13 R12."""
+    """Constant Yang-Baxter commutator R12 S13 T23 - T23 S13 R12:
+    ``zform.commutator`` when all three factors have the int form, else
+    the leg embeddings multiplied by ``__mul__``, which runs on the
+    polynomial int form or the scalar loop.  The choice is made on entry
+    kind, as ``__mul__`` makes it."""
     if not (R.dim == S.dim == T.dim):
         raise DimensionMismatch("commutator needs equal dims")
+    _local_dim(R)       # a dim that is not a square fails on either path
+    r = R._zi
+    if r is not None:
+        s, t = S._zi, T._zi
+        if s is not None and t is not None:
+            return _zmatrix(zform.commutator(r, s, t))
     R12 = embed(R, (1, 2))
     S13 = embed(S, (1, 3))
     T23 = embed(T, (2, 3))

@@ -17,15 +17,17 @@ Polynomial zero is, with no terms.
 ``tensor.SquareMatrix`` keeps the int form in its ``_zi`` slot, the
 polynomial one in its ``_zp`` slot, and chooses when these functions run;
 the arithmetic returns an int form again.  No function changes the term
-dicts of its operands, so results may share them.  ``bareiss`` is the one
-exact elimination over Z[i], for ``det``, ``inverse`` and
+dicts of its operands, so results may share them.  ``commutator`` is the
+numeric Yang-Baxter commutator, for ``tensor.ybc_const``.  ``bareiss`` is
+the one exact elimination over Z[i], for ``det``, ``inverse`` and
 ``solver.nullspace``.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .scalar import ZERO, GaussianRational, Polynomial, _mono_mul, _reduced
 
@@ -128,6 +130,99 @@ def scaled(x, s):
     sa, sb = s.a, s.b
     return least(d * s.d, [[(c, a * sa - b * sb, a * sb + b * sa) for c, a, b in zrow]
                            for zrow in zrows])
+
+
+def commutator(r, s, t):
+    """The int form of the Yang-Baxter commutator R12 S13 T23 - T23 S13 R12
+    of the int forms r, s, t of three N^2 x N^2 matrices, computed without
+    embedding a factor and without ``product``.
+
+    Each row of an N^3 x N^3 intermediate is one pair of Python ints
+    (re, im) that holds the entry in column j at bit w*j (Kronecker
+    substitution; Harvey, J. Symb. Comp. 44, 2009), so row x of the
+    identity is 2^(w*x).  A left multiply by an embedded factor adds, for
+    each nonzero entry of the small factor's row, that entry times one
+    packed row, and both triple products are applied to the identity.  A
+    residual row whose ints are 0 is empty, so a zero commutator unpacks
+    nothing."""
+    (dr, rrows), (ds, srows), (dt, trows) = r, s, t
+    n = len(rrows)
+    N = isqrt(n)
+    size = n * N
+    # The delta factors of the legs leave three free indices in each entry
+    # of either triple product, so the entry sums N^3 products of three
+    # entries, and a part of such a product sums four products of parts.
+    # A slot of the residual thus holds at most 8 N^3 mR mS mT in absolute
+    # value, where m is the largest part of a factor's Gaussian integers;
+    # w bits hold that with its sign and one bit to spare.
+    w = (8 * N ** 3 * _largest(rrows) * _largest(srows) * _largest(trows)).bit_length() + 2
+    at12, at13, at23 = _legs(N)
+    unit = [(1 << (w * x), 0) for x in range(size)]
+    p1 = _times(rrows, at12, _times(srows, at13, _times(trows, at23, unit)))
+    p2 = _times(trows, at23, _times(srows, at13, _times(rrows, at12, unit)))
+    half = 1 << (w - 1)
+    bias = half * ((1 << (w * size)) - 1) // ((1 << w) - 1)     # half in every slot
+    out = []
+    for (a1, b1), (a2, b2) in zip(p1, p2):
+        re, im = a1 - a2, b1 - b2
+        if re or im:
+            out.append([(j, a, b) for j, a, b in zip(range(size), _slots(re, size, w, half, bias),
+                                                     _slots(im, size, w, half, bias)) if a or b])
+        else:
+            out.append([])
+    return least(dr * ds * dt, out)
+
+
+def _largest(zrows):
+    return max((max(abs(a), abs(b)) for zrow in zrows for _, a, b in zrow), default=0)
+
+
+@lru_cache(maxsize=8)
+def _legs(N):
+    """Where the N^2 x N^2 factor M sits in M12, M13 and M23: for each, one
+    pair per row x = (x1, x2, x3) of N (x) N (x) N, the row of M it holds
+    and the list over M's columns c = (c1, c2) of the column c lands in.
+    That is M's row (x1, x2) with c at (c1, c2, x3) in M12, row (x1, x3)
+    with c at (c1, x2, c2) in M13, and row (x2, x3) with c at (x1, c1, c2)
+    in M23."""
+    n = N * N
+    rows = range(n * N)
+    cols = range(n)
+    return ([(x // N, [c * N + x % N for c in cols]) for x in rows],
+            [(x // n * N + x % N, [c // N * n + c % N + x // N % N * N for c in cols])
+             for x in rows],
+            [(x % n, [x - x % n + c for c in cols]) for x in rows])
+
+
+def _times(zrows, at, packed):
+    """The packed rows of F X, for the packed rows of X and the embedded
+    factor F that ``at`` places the int form rows ``zrows`` in."""
+    out = []
+    for f, cols in at:
+        re = im = 0
+        for c, a, b in zrows[f]:
+            xa, xb = packed[cols[c]]
+            if b:
+                re += a * xa - b * xb
+                im += a * xb + b * xa
+            else:
+                re += a * xa
+                im += a * xb
+        out.append((re, im))
+    return out
+
+
+def _slots(x, size, w, half, bias):
+    """The ``size`` signed w-bit slots of the int x, lowest first: adding
+    ``bias``, ``half`` = 2^(w-1) in every slot, lifts each slot to
+    [0, 2^w)."""
+    x += bias
+    mask = 2 * half - 1
+    out = []
+    for _ in range(size):
+        out.append((x & mask) - half)
+        x >>= w
+    return out
 
 
 def moved(x, size, places):

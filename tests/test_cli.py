@@ -386,8 +386,8 @@ def test_orbit_refuses_a_dense_symbolic_inverse_past_the_minor_bound(capsys, tmp
                          "--Z", "file:%s" % path, "--word", "dsym2:+-")
     assert time.perf_counter() - start < 10
     assert (code, out) == (2, "")
-    assert err == ("error: a symbolic det or inverse must expand at most %d minors, "
-                   "this one needs more\n" % MAX_MINORS)
+    assert err == ("error: step dsym2: a symbolic det or inverse must expand at most %d "
+                   "minors, this one needs more\n" % MAX_MINORS)
 
 
 # ---------------------------------------------------------------------------

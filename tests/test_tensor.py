@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import embed_oracle, ybc_loops, ybc_tower
 from ybx.catalog import instantiate
@@ -498,6 +498,74 @@ def test_int_form_agrees_with_the_pair_references(operands, legs, perm):
                       (A * B - C_poly, pair_sum(AB, c, -1))):
         assert all(x == GaussianRational(*w) for row, want_row in zip(got.rows, want)
                    for x, w in zip(row, want_row))
+
+
+# ---------------------------------------------------------------------------
+# the packed commutator kernel against the oracle and the embedded products
+
+# A part just below 2^200.  With it the slot-width bound of
+# ``zform.commutator`` lies just below a power of two, so a slot three
+# bits narrower cannot hold half that bound.
+_HUGE = 2 ** 200 - 1
+
+
+@st.composite
+def _commutator_factors(draw):
+    """Three N^2 x N^2 matrices of GaussianRationals, N in 1..3, their
+    parts drawn from a seed: zero, small, or within 9 of +-2^200, over
+    mixed denominators, with imaginary parts unless the draw asks for
+    none.  One factor may be zero."""
+    n = draw(st.integers(1, 3)) ** 2
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    gaussian = draw(st.booleans())
+
+    def part():
+        u = rng.random()
+        if u < 0.3:
+            return Fraction(0)
+        num = rng.randint(-9, 9) if u < 0.8 else rng.choice((-1, 1)) * (_HUGE - rng.randint(0, 8))
+        return Fraction(num, rng.choice((1, 2, 3, 4, 6)))
+    factors = [SquareMatrix([[GaussianRational(part(), part() if gaussian else 0)
+                              for _ in range(n)] for _ in range(n)]) for _ in range(3)]
+    zero = draw(st.sampled_from([None, 0, 1, 2]))
+    if zero is not None:
+        factors[zero] = SquareMatrix.zeros(n)
+    return factors
+
+
+# Three dim-4 factors, times _HUGE, whose commutator has a part of
+# 32 _HUGE^3: half the bound 8 N^3 mR mS mT that sets the slot width.
+# Several of its entries have nonzero real and imaginary parts.
+_WIDEST = [M(rows).scale(GaussianRational(_HUGE)) for rows in (
+    [["1-i", "1+i", "-1-i", "1-i"], ["1", "-i", "-1-i", "1"],
+     ["1+i", "-1", "-i", "1+i"], ["1+i", "-1+i", "1-i", "-1-i"]],
+    [["1+i", "1-i", "-1-i", "i"], ["1+i", "1+i", "0", "-i"],
+     ["1+i", "-1+i", "1+i", "-1+i"], ["1+i", "0", "1", "1+i"]],
+    [["1+i", "1+i", "0", "-1-i"], ["1+i", "0", "-1-i", "1"],
+     ["-1-i", "-1-i", "-1-i", "-1-i"], ["1+i", "-1+i", "-1", "-1+i"]])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_commutator_factors())
+@example(_WIDEST)
+@example([random_matrix(16, 3), random_matrix(16, 4).scale(GaussianRational(Fraction(1, 3), -2)),
+          random_matrix(16, 5).scale(GaussianRational(Fraction(_HUGE, 2)))])
+def test_packed_commutator_agrees_with_the_oracle_and_the_embedded_products(factors):
+    """``ybc_const`` on three int forms runs ``zform.commutator``; its
+    residual equals the oracle's int commutator and the explicit product
+    of the leg embeddings, in value, denominator and printed form."""
+    R, S, T = factors
+    got = ybc_const(R, S, T)
+    R12, S13, T23 = embed(R, (1, 2)), embed(S, (1, 3)), embed(T, (2, 3))
+    assert _as_pairs(got) == _as_pairs(R12 * S13 * T23 - T23 * S13 * R12)
+    assert got == ybc_loops(R, S, T, isqrt(R.dim))
+
+
+def test_the_widest_example_fills_half_the_slot_bound():
+    d, zrows = ybc_const(*_WIDEST)._zi
+    parts = [abs(x) for zrow in zrows for _, a, b in zrow for x in (a, b)]
+    assert (d, max(parts)) == (1, 32 * _HUGE ** 3)
+    assert any(a and b for zrow in zrows for _, a, b in zrow)
 
 
 # ---------------------------------------------------------------------------
