@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from . import exprparse
+from . import exprparse, zform
 from .errors import ConstraintViolated, DivisionByZero, ExprSyntaxError, UnknownName, prefixed
 from .scalar import (GaussianRational, as_scalar, lowest, substitute, var_id)
-from .tensor import COLOURS, ColourMatrix, SquareMatrix
+from .tensor import COLOURS, ColourMatrix, SquareMatrix, _zmatrix
 
 # Stable registration order: governs monomial ordering and printing.
 _VARIABLE_ORDER = ("q", "s", "t", "a", "b", "c", "d", "x", "y", "z",
@@ -46,10 +46,33 @@ class ConstraintSet:
         return tuple([(label, exprparse.parse_scalar(expr)) for label, expr in pairs]
                      for pairs in (self.equalities, self.inequations))
 
+    @cached_property
+    def _zp(self):
+        """The polynomial int form of one row of every expression,
+        equalities first, made on first use."""
+        equalities, inequations = self._parsed
+        return zform.poly_of_rows([[expr for _, expr in equalities + inequations]])
+
     def check(self, assignment):
         """Raise ConstraintViolated for any constraint decidable under
-        ``assignment``; symbolic (undecidable) constraints are deferred."""
+        ``assignment``; symbolic (undecidable) constraints are deferred.
+        At a numeric point every expression is valued by one
+        ``zform.evaluate``; when that divides by zero, the loop below
+        finds the first failure in order."""
         equalities, inequations = self._parsed
+        try:
+            zi = _evaluated(self._zp, assignment)
+        except DivisionByZero:
+            zi = None
+        if zi is not None:
+            nonzero = {c for c, _, _ in zi[1][0]}
+            for c, (label, _) in enumerate(equalities):
+                if c in nonzero:
+                    raise ConstraintViolated(self.entry, label)
+            for c, (label, _) in enumerate(inequations, len(equalities)):
+                if c not in nonzero:
+                    raise ConstraintViolated(self.entry, label)
+            return
         for label, expr in equalities:
             val = substitute(expr, assignment)
             if isinstance(val, GaussianRational) and not val.is_zero():
@@ -85,6 +108,11 @@ class NamedMatrix:
     def cells(self):
         """The entry expressions as scalars, parsed on first use."""
         return [[exprparse.parse_scalar(cell) for cell in row] for row in self.entries]
+
+    @cached_property
+    def cells_zp(self):
+        """The polynomial int form of ``cells``, made on first use."""
+        return zform.poly_of_rows(self.cells)
 
     @cached_property
     def witness_point(self):
@@ -366,8 +394,20 @@ def _resolve_assignment(entry: NamedMatrix, assignment):
                 raise prefixed(exc, "pin %s" % p)
         else:
             val = as_scalar(val)
-        resolved[p] = lowest(substitute(val, resolved)) if resolved else val
+        if resolved and type(val) is not GaussianRational:
+            val = lowest(substitute(val, resolved))
+        resolved[p] = val
     return resolved
+
+
+def _evaluated(zp, assignment):
+    """``zform.evaluate`` of the polynomial int form zp at the
+    GaussianRational values of ``assignment``; None when zp is None or a
+    variable of zp has no such value."""
+    if zp is None:
+        return None
+    return zform.evaluate(zp, {var_id(p): v for p, v in assignment.items()
+                               if type(v) is GaussianRational})
 
 
 def instantiate(name: str, assignment=None):
@@ -380,8 +420,19 @@ def instantiate(name: str, assignment=None):
     entry = get(name)
     resolved = _resolve_assignment(entry, assignment or {})
     entry.constraints.check(resolved)
-    rows = [[substitute(cell, resolved) for cell in row] for row in entry.cells]
-    M = SquareMatrix(rows)
+    return matrix_at(entry, resolved)
+
+
+def matrix_at(entry: NamedMatrix, point):
+    """The matrix of ``entry`` at ``point``, which must already be resolved
+    and checked, as ``sample_assignment`` returns it.  At a numeric point
+    it is the int form of ``zform.evaluate``; otherwise each cell is
+    substituted, and unassigned parameters stay symbolic."""
+    zi = _evaluated(entry.cells_zp, point)
+    if zi is not None:
+        M = _zmatrix(zi)
+    else:
+        M = SquareMatrix([[substitute(cell, point) for cell in row] for row in entry.cells])
     if entry.colour:
         return ColourMatrix(M)
     return M

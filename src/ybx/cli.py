@@ -114,7 +114,7 @@ class _MatrixSpec:
             shown = assignment
         else:
             shown = catalog.sample_assignment(self.name, rng, pins=self.pins)
-            matrix = catalog.instantiate(self.name, shown)
+            matrix = catalog.matrix_at(entry, shown)
         args = ",".join("%s=%s" % (p, shown[p] if isinstance(shown[p], str)
                                    else scalar_str(shown[p]))
                         for p in entry.params if p in shown)

@@ -8,7 +8,7 @@ without new code.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import product
 
 from .errors import (DimensionMismatch, MissingRole, NotInvertible,
@@ -156,7 +156,8 @@ class ResidualReport:
     equations: list = field(default_factory=list)
 
     def to_dict(self):
-        return asdict(self)
+        """The report as plain data, in field order; shares its values."""
+        return dict(vars(self), equations=[dict(vars(e)) for e in self.equations])
 
     def to_text(self):
         return "\n".join(["system %s" % self.system] + report_lines(self.to_dict(), WITNESS_CAP)

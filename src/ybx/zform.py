@@ -20,7 +20,9 @@ the arithmetic returns an int form again.  No function changes the term
 dicts of its operands, so results may share them.  ``commutator`` is the
 numeric Yang-Baxter commutator, for ``tensor.ybc_const``.  ``bareiss`` is
 the one exact elimination over Z[i], for ``det``, ``inverse`` and
-``solver.nullspace``.
+``solver.nullspace``.  ``evaluate`` turns a polynomial int form at a
+numeric point into the int form, for the entries and constraints of
+``catalog``.
 """
 
 from __future__ import annotations
@@ -363,6 +365,60 @@ def poly_of_rows(rows):
                 im[m] = k.b * s
         out[r].append((c, re, im, is_poly))
     return d, out
+
+
+def evaluate(x, point):
+    """The int form of the polynomial int form x at ``point``, a map from
+    variable id to GaussianRational; None when a variable of x has no
+    value there.  Each power of a variable and each distinct monomial is
+    valued once in ints, and each entry is summed in ints over one
+    denominator.  A zero under a negative power raises DivisionByZero
+    from ``GaussianRational.inv``, as in the scalar loop."""
+    d, prows = x
+    powers, monos = {}, {}
+    for _, re, im, _ in chain.from_iterable(prows):
+        for m in chain(re, im):
+            if m in monos:
+                continue
+            a, b, den = 1, 0, 1
+            for v, e in m:
+                p = powers.get((v, e))
+                if p is None:
+                    base = point.get(v)
+                    if base is None:
+                        return None
+                    p = powers[v, e] = _power(base.inv() if e < 0 else base, abs(e))
+                pa, pb, pd = p
+                a, b, den = a * pa - b * pb, a * pb + b * pa, den * pd
+            monos[m] = a, b, den
+    den = lcm(*(md for _, _, md in monos.values()))
+    monos = {m: (a * (den // md), b * (den // md)) for m, (a, b, md) in monos.items()}
+    out = []
+    for prow in prows:
+        zrow = []
+        for c, re, im, _ in prow:
+            a = b = 0
+            for m, k in re.items():
+                ma, mb = monos[m]
+                a += k * ma
+                b += k * mb
+            for m, k in im.items():     # k*i times ma + mb*i
+                ma, mb = monos[m]
+                a -= k * mb
+                b += k * ma
+            if a or b:
+                zrow.append((c, a, b))
+        out.append(zrow)
+    return least(d * den, out)
+
+
+def _power(x, e):
+    """(re, im, den) with x^e = (re + im*i)/den, for the GaussianRational x
+    and e > 0, in ints."""
+    a, b = 1, 0
+    for _ in range(e):
+        a, b = a * x.a - b * x.b, a * x.b + b * x.a
+    return a, b, x.d ** e
 
 
 def poly_of(x):

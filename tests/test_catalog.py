@@ -1,10 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ybx import catalog
-from ybx.errors import ConstraintViolated, UnknownName
-from ybx.scalar import GaussianRational, scalar_str
+from ybx import catalog, zform
+from ybx.errors import ConstraintViolated, DivisionByZero, UnknownName
+from ybx.exprparse import parse_scalar
+from ybx.scalar import GaussianRational, Polynomial, scalar_str, substitute, var_name
 from ybx.tensor import ColourMatrix, matrix_from_text, matrix_to_text, ybc_const
 
 I = GaussianRational(0, 1)
@@ -190,3 +193,144 @@ def test_entries_are_parsed_once_and_print_as_freshly_parsed(monkeypatch):
     monkeypatch.setattr(exprparse, "parse_scalar", parse_scalar)
     for name in catalog.names():
         assert text(name, catalog.instantiate(name, catalog.witness(name))) == first[name]
+
+
+# -- the int path at numeric points against the scalar loop -----------------
+
+def _loop_rows(entry, point):
+    """Each cell of ``entry`` parsed afresh and substituted at ``point``."""
+    return [[substitute(parse_scalar(cell), point) for cell in row] for row in entry.entries]
+
+
+def _loop_check(entry, point):
+    """The equalities, then the inequations, of ``entry``, each parsed
+    afresh and decided when it is numeric at ``point``."""
+    for label, expr in entry.constraints.equalities:
+        val = substitute(parse_scalar(expr), point)
+        if isinstance(val, GaussianRational) and not val.is_zero():
+            raise ConstraintViolated(entry.name, label)
+    for label, expr in entry.constraints.inequations:
+        val = substitute(parse_scalar(expr), point)
+        if isinstance(val, GaussianRational) and val.is_zero():
+            raise ConstraintViolated(entry.name, label)
+
+
+def _outcome(call, *args):
+    """call(*args), or the class and text of the error it raised."""
+    try:
+        return call(*args)
+    except (ConstraintViolated, DivisionByZero) as exc:
+        return type(exc), str(exc)
+
+
+_PART = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_GAUSSIAN = st.builds(GaussianRational, _PART, _PART)
+# u3 is a registered variable that is no parameter of any entry
+_SYMBOLIC = st.sampled_from([Polynomial.variable("u3"), parse_scalar("u3^-1 + 2*i")])
+
+
+@pytest.mark.parametrize("kind", ["numeric", "partial", "symbolic"])
+@pytest.mark.parametrize("name", catalog.names())
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_instantiate_agrees_with_the_scalar_loop(name, kind, data):
+    """At numeric points (Gaussian values, zeros under negative powers
+    included) an entry is evaluated on ints; at partial and symbolic points
+    it is substituted cell by cell.  Either way every entry has the type,
+    value and text of the scalar loop, errors have its class and text, and
+    the int form keeps the least denominator."""
+    entry = catalog.get(name)
+    point = {}
+    for p in entry.params:
+        if kind == "numeric" or data.draw(st.booleans()):
+            point[p] = data.draw(_GAUSSIAN)
+        elif kind == "symbolic":
+            point[p] = data.draw(_SYMBOLIC)
+    checked = _outcome(_loop_check, entry, point)
+    assert _outcome(entry.constraints.check, point) == checked
+    want = _outcome(_loop_rows, entry, point)
+    _assert_same(_outcome(catalog.matrix_at, entry, point), want)
+    _assert_same(_outcome(catalog.instantiate, entry.name, point),
+                 checked if isinstance(checked, tuple) else want)
+    if not isinstance(want, tuple):
+        base = catalog.matrix_at(entry, point)
+        base = base.base if entry.colour else base
+        variables = {var_name(v) for row in entry.cells for cell in row for v in cell.variables()}
+        if all(type(point.get(v)) is GaussianRational for v in variables):
+            assert base._zi == zform.of_rows(want)
+        else:
+            assert catalog._evaluated(entry.cells_zp, point) is None
+
+
+def _assert_same(got, want):
+    """The outcomes are the same error, or matrices whose entries have the
+    same type, value and text as the rows ``want``."""
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    base = got.base if isinstance(got, ColourMatrix) else got
+    for row, want_row in zip(base.rows, want):
+        assert [type(x) for x in row] == [type(y) for y in want_row]
+        assert row == want_row
+        assert [scalar_str(x) for x in row] == [scalar_str(y) for y in want_row]
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_every_entry_at_a_gaussian_point_agrees_with_the_scalar_loop(name):
+    entry = catalog.get(name)
+    point = {p: GaussianRational(Fraction(k + 1, 2), Fraction(-1) ** k * (k + 2))
+             for k, p in enumerate(entry.params)}
+    want = _loop_rows(entry, point)
+    _assert_same(catalog.matrix_at(entry, point), want)
+    if not entry.colour:
+        assert catalog.matrix_at(entry, point)._zi == zform.of_rows(want)
+
+
+def test_a_zero_under_a_negative_power_raises_the_loops_error():
+    entry = catalog.get("W")
+    point = {"q": GaussianRational(2), "s": GaussianRational(0), "t": GaussianRational(2)}
+    with pytest.raises(DivisionByZero) as want:
+        _loop_rows(entry, point)
+    with pytest.raises(DivisionByZero) as got:
+        catalog.matrix_at(entry, point)
+    assert str(got.value) == str(want.value) == "inversion of zero"
+
+
+@pytest.mark.parametrize("name, point, label", [
+    # the branch equality and q^2 != 1 both fail; the equality comes first
+    ("W", {"q": 1, "s": 1, "t": 5}, "t = q or t = -q^-1"),
+    ("W", {"q": 2, "s": 0, "t": 2}, "s != 0"),
+    ("Z21", {"q": GaussianRational(0, 1), "r": 0, "b": 3, "delta": 1},
+     "delta = 0 unless b^2 = -1"),
+    ("X4", {"q": 2, "s": 1, "t": 2, "a": 1, "b": 0, "c": 3}, "b != 0"),
+])
+def test_check_on_the_int_path_raises_the_loops_first_label(name, point, label):
+    entry = catalog.get(name)
+    point = {p: GaussianRational(v) if isinstance(v, int) else v for p, v in point.items()}
+    assert catalog._evaluated(entry.constraints._zp, point) is not None
+    with pytest.raises(ConstraintViolated) as want:
+        _loop_check(entry, point)
+    with pytest.raises(ConstraintViolated) as got:
+        entry.constraints.check(point)
+    assert str(got.value) == str(want.value) == "%s: constraint violated: %s" % (name, label)
+
+
+def test_check_keeps_the_loops_order_around_a_zero_divisor():
+    a, b = GaussianRational(1), GaussianRational(0)
+    first = catalog.ConstraintSet("E", equalities=(("a = 0", "a"),),
+                                  inequations=(("b^-1 != 0", "b^-1"),))
+    with pytest.raises(ConstraintViolated, match="a = 0"):
+        first.check({"a": a, "b": b})
+    only = catalog.ConstraintSet("E", equalities=(("b^-1 = 1", "b^-1 - 1"),))
+    with pytest.raises(DivisionByZero, match="inversion of zero"):
+        only.check({"a": a, "b": b})
+
+
+@pytest.mark.parametrize("pins", [{"q": "1"}, {"q": "1", "s": "2", "t": "q"}])
+def test_sampling_reports_the_constraint_the_pins_break(pins):
+    entry = catalog.get("W")
+    with pytest.raises(ConstraintViolated) as want:
+        _loop_check(entry, catalog._resolve_assignment(entry, pins))
+    with pytest.raises(ConstraintViolated) as got:
+        catalog.sample_assignment("W", random.Random(1), pins=pins)
+    assert str(got.value) == str(want.value) == "W: constraint violated: q^2 != 1"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -279,3 +280,15 @@ def test_report_serialization_round_trip():
               "report": rep.to_dict()}
     cli_text = cli.render_verify_text({"system": "YBE", "samples": [sample], "verified": ok})
     assert [rep.to_text().count("\n    ("), cli_text.count("\n    (")] == [32, 4]
+
+
+@pytest.mark.parametrize("name, roles", [
+    ("ybe", {"R": random_matrix(9, 7)}),
+    ("qdouble", {"W": catalog.instantiate("W", {"q": 2, "s": 3, "t": 2}), "X": I4, "Z": P}),
+    ("qdouble", {"W": catalog.instantiate("W", {"q": 2, "s": 3, "t": 2}),
+                 "X": catalog.instantiate("X1", {"a": 1, "b": 2, "c": 1, "d": 1}),
+                 "Z": catalog.instantiate("Z10", {"x": 1, "y": 2, "z": 3})}),
+])
+def test_report_dict_is_the_dataclass_dict(name, roles):
+    rep = residual(name, roles)
+    assert json.dumps(rep.to_dict()) == json.dumps(dataclasses.asdict(rep))
