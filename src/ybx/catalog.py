@@ -46,33 +46,10 @@ class ConstraintSet:
         return tuple([(label, exprparse.parse_scalar(expr)) for label, expr in pairs]
                      for pairs in (self.equalities, self.inequations))
 
-    @cached_property
-    def _zp(self):
-        """The polynomial int form of one row of every expression,
-        equalities first, made on first use."""
-        equalities, inequations = self._parsed
-        return zform.poly_of_rows([[expr for _, expr in equalities + inequations]])
-
     def check(self, assignment):
         """Raise ConstraintViolated for any constraint decidable under
-        ``assignment``; symbolic (undecidable) constraints are deferred.
-        At a numeric point every expression is valued by one
-        ``zform.evaluate``; when that divides by zero, the loop below
-        finds the first failure in order."""
+        ``assignment``; symbolic (undecidable) constraints are deferred."""
         equalities, inequations = self._parsed
-        try:
-            zi = _evaluated(self._zp, assignment)
-        except DivisionByZero:
-            zi = None
-        if zi is not None:
-            nonzero = {c for c, _, _ in zi[1][0]}
-            for c, (label, _) in enumerate(equalities):
-                if c in nonzero:
-                    raise ConstraintViolated(self.entry, label)
-            for c, (label, _) in enumerate(inequations, len(equalities)):
-                if c not in nonzero:
-                    raise ConstraintViolated(self.entry, label)
-            return
         for label, expr in equalities:
             val = substitute(expr, assignment)
             if isinstance(val, GaussianRational) and not val.is_zero():
@@ -400,16 +377,6 @@ def _resolve_assignment(entry: NamedMatrix, assignment):
     return resolved
 
 
-def _evaluated(zp, assignment):
-    """``zform.evaluate`` of the polynomial int form zp at the
-    GaussianRational values of ``assignment``; None when zp is None or a
-    variable of zp has no such value."""
-    if zp is None:
-        return None
-    return zform.evaluate(zp, {var_id(p): v for p, v in assignment.items()
-                               if type(v) is GaussianRational})
-
-
 def instantiate(name: str, assignment=None):
     """Evaluate a catalog entry at a (possibly partial) parameter point.
 
@@ -428,7 +395,10 @@ def matrix_at(entry: NamedMatrix, point):
     and checked, as ``sample_assignment`` returns it.  At a numeric point
     it is the int form of ``zform.evaluate``; otherwise each cell is
     substituted, and unassigned parameters stay symbolic."""
-    zi = _evaluated(entry.cells_zp, point)
+    zi = None
+    if entry.cells_zp is not None:
+        zi = zform.evaluate(entry.cells_zp, {var_id(p): v for p, v in point.items()
+                                             if type(v) is GaussianRational})
     if zi is not None:
         M = _zmatrix(zi)
     else:

@@ -156,8 +156,12 @@ class ResidualReport:
     equations: list = field(default_factory=list)
 
     def to_dict(self):
-        """The report as plain data, in field order; shares its values."""
-        return dict(vars(self), equations=[dict(vars(e)) for e in self.equations])
+        """The report as plain data in field order, sharing no list or dict
+        with it, as ``dataclasses.asdict`` but without its generic deep copy."""
+        return dict(vars(self), assignment=dict(self.assignment),
+                    equations=[dict(vars(e), witnesses=[
+                        {k: list(v) if type(v) is list else v for k, v in w.items()}
+                        for w in e.witnesses]) for e in self.equations])
 
     def to_text(self):
         return "\n".join(["system %s" % self.system] + report_lines(self.to_dict(), WITNESS_CAP)

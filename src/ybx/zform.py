@@ -21,8 +21,7 @@ dicts of its operands, so results may share them.  ``commutator`` is the
 numeric Yang-Baxter commutator, for ``tensor.ybc_const``.  ``bareiss`` is
 the one exact elimination over Z[i], for ``det``, ``inverse`` and
 ``solver.nullspace``.  ``evaluate`` turns a polynomial int form at a
-numeric point into the int form, for the entries and constraints of
-``catalog``.
+numeric point into the int form, for the entries of ``catalog``.
 """
 
 from __future__ import annotations

@@ -292,3 +292,16 @@ def test_report_serialization_round_trip():
 def test_report_dict_is_the_dataclass_dict(name, roles):
     rep = residual(name, roles)
     assert json.dumps(rep.to_dict()) == json.dumps(dataclasses.asdict(rep))
+
+
+def test_report_dict_shares_nothing_with_the_report():
+    rep = residual("ybe", {"R": random_matrix(9, 7)}, provenance={"R": "random[dim=9,seed=7]"})
+    text, data = rep.to_text(), json.dumps(rep.to_dict())
+    d = rep.to_dict()
+    d["assignment"]["R"] = "changed"
+    witnesses = d["equations"][0]["witnesses"]
+    witnesses[0]["row"][0] = 99
+    witnesses[0]["value"] = "changed"
+    witnesses.clear()
+    assert rep.to_text() == text
+    assert json.dumps(rep.to_dict()) == data
