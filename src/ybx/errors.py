@@ -40,7 +40,8 @@ class NotInvertible(YbxError):
 
 class TooManyMinors(YbxError):
     """A symbolic det or inverse would expand more minors than
-    ``tensor.MAX_MINORS``."""
+    ``tensor.MAX_MINORS``, or keep more terms in them than
+    ``tensor.MAX_TERMS``."""
 
 
 class UnsupportedTransform(YbxError):

@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
+from . import tensor
 from .errors import (DimensionMismatch, MissingRole, NotInvertible,
                      RoleKindMismatch, UnknownName, UnsupportedTransform)
 from .scalar import scalar_str
-from .tensor import (ColourMatrix, SquareMatrix, _local_dim, transform, ybc_colour,
-                     ybc_const)
+from .tensor import ColourMatrix, SquareMatrix, _local_dim, transform
 
 WITNESS_CAP = 32
 
@@ -48,10 +48,12 @@ class MatrixFamily:
                               for K in range(self.N)] for J in range(self.N)])
 
 
-# kind -> (role type, commutator, label brackets)
-_KINDS = {"const": (SquareMatrix, ybc_const, "[]"),
-          "colour": (ColourMatrix, ybc_colour, "[[]]"),
-          "family": (MatrixFamily, ybc_colour, "{[]}")}
+# kind -> (role type, commutator's name in ``tensor``, label brackets).
+# ``residual`` looks the commutator up when it runs, so a wrapper set on
+# the module attribute sees every call.
+_KINDS = {"const": (SquareMatrix, "ybc_const", "[]"),
+          "colour": (ColourMatrix, "ybc_colour", "[[]]"),
+          "family": (MatrixFamily, "ybc_colour", "{[]}")}
 
 
 @dataclass(frozen=True)
@@ -248,7 +250,7 @@ def residual(sysdef, assignment, provenance=None) -> ResidualReport:
         return cache[key]
 
     for eq in sysdef.equations:
-        ybc = _KINDS[eq.kind][1]
+        ybc = getattr(tensor, _KINDS[eq.kind][1])
         A, B, C = (tagged(role, tag) for role, tag in eq.triple)
         if eq.kind == "family":
             count, wit = 0, []

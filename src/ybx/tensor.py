@@ -22,6 +22,15 @@ from .scalar import (ZERO, ONE, GaussianRational, Polynomial, as_scalar, invert,
 # Python 3.11).
 MAX_MINORS = 20_000
 
+# The most terms the minors of one symbolic det or inverse may hold
+# together, kept under ``_TERMS`` in its table: few minors can still hold
+# factorially many terms.  The dim-9 inverse with one variable on the
+# diagonal keeps 8,966 and the dense dim-16 file reaches MAX_MINORS with
+# 72,301; the dim-9 matrix of 81 distinct variables, whose inverse took
+# 74 s and 4.9 GiB, stops after 0.5 s and 39 MiB (same guest as above).
+MAX_TERMS = 100_000
+_TERMS = "terms"
+
 
 class SquareMatrix:
     """Immutable-by-convention n x n matrix of exact scalars.
@@ -35,11 +44,13 @@ class SquareMatrix:
     ``zform``: Gaussian-integer coefficients over one least denominator.
     Arithmetic runs on ``_zi`` when every operand has it, and so does
     ``ybc_const``, through ``zform.commutator``; products, sums,
-    differences, negation, leg moves and the zero test run on ``_zp``
-    when every operand has that instead.  Either returns a matrix that
-    holds only its int form; ``rows`` reduces each coefficient, so entries
-    have the type, value and text the scalar loop gives them.  The scalar
-    loop is left for RationalFunction entries."""
+    differences, negation, leg moves, the zero test and ``ybc_const``,
+    through ``zform.poly_commutator``, run on ``_zp`` when every operand
+    has that instead.  Either returns a matrix that holds only its int
+    form; ``rows`` reduces each coefficient, so entries have the type,
+    value and text the scalar loop gives them.  The scalar loop, and the
+    leg embeddings of a commutator, are left for RationalFunction
+    entries."""
 
     __slots__ = ("dim", "rows", "_zi", "_zp")
 
@@ -328,7 +339,7 @@ def _minor(rows, row_indices, col_indices, memo):
     m = memo.get(key)
     if m is not None:
         return m
-    if len(memo) >= MAX_MINORS:
+    if len(memo) > MAX_MINORS:      # the minors and the _TERMS total
         raise TooManyMinors("a symbolic det or inverse must expand at most %d minors, "
                             "this one needs more" % MAX_MINORS)
     if len(col_indices) < 2:
@@ -344,8 +355,24 @@ def _minor(rows, row_indices, col_indices, memo):
             if not a.is_zero():
                 term = a * _minor(rows, rest, col_indices[:j] + col_indices[j + 1:], memo)
                 m = m + term if j % 2 == 0 else m - term
+    terms = memo.get(_TERMS, 0) + _terms(m)
+    if terms > MAX_TERMS:
+        raise TooManyMinors("a symbolic det or inverse may keep at most %d terms in its "
+                            "minors, this one needs more" % MAX_TERMS)
+    memo[_TERMS] = terms
     memo[key] = m
     return m
+
+
+def _terms(x):
+    """The terms of a scalar: one for a GaussianRational, those of a
+    Polynomial, and those of both sides of a RationalFunction."""
+    kind = type(x)
+    if kind is GaussianRational:
+        return 1
+    if kind is Polynomial:
+        return len(x.terms)
+    return len(x.num.terms) + len(x.den.terms)
 
 
 def rref(rows, ncols):
@@ -449,17 +476,23 @@ def _local_dim(mat: SquareMatrix, role=None) -> int:
 def ybc_const(R: SquareMatrix, S: SquareMatrix, T: SquareMatrix) -> SquareMatrix:
     """Constant Yang-Baxter commutator R12 S13 T23 - T23 S13 R12:
     ``zform.commutator`` when all three factors have the int form, else
-    the leg embeddings multiplied by ``__mul__``, which runs on the
-    polynomial int form or the scalar loop.  The choice is made on entry
+    ``zform.poly_commutator`` when all three have the polynomial int
+    form.  Only a factor with a RationalFunction entry leaves the leg
+    embeddings to ``__mul__`` and ``-``.  The choice is made on entry
     kind, as ``__mul__`` makes it."""
     if not (R.dim == S.dim == T.dim):
         raise DimensionMismatch("commutator needs equal dims")
-    _local_dim(R)       # a dim that is not a square fails on either path
+    _local_dim(R)       # a dim that is not a square fails on every path
     r = R._zi
     if r is not None:
         s, t = S._zi, T._zi
         if s is not None and t is not None:
             return _zmatrix(zform.commutator(r, s, t))
+    r = R._zp
+    if r is not None:
+        s, t = S._zp, T._zp
+        if s is not None and t is not None:
+            return _pmatrix(zform.poly_commutator(r, s, t))
     R12 = embed(R, (1, 2))
     S13 = embed(S, (1, 3))
     T23 = embed(T, (2, 3))

@@ -17,8 +17,9 @@ Polynomial zero is, with no terms.
 ``tensor.SquareMatrix`` keeps the int form in its ``_zi`` slot, the
 polynomial one in its ``_zp`` slot, and chooses when these functions run;
 the arithmetic returns an int form again.  No function changes the term
-dicts of its operands, so results may share them.  ``commutator`` is the
-numeric Yang-Baxter commutator, for ``tensor.ybc_const``.  ``bareiss`` is
+dicts of its operands, so results may share them.  ``commutator`` and
+``poly_commutator`` are the numeric and the polynomial Yang-Baxter
+commutator, for ``tensor.ybc_const``.  ``bareiss`` is
 the one exact elimination over Z[i], for ``det``, ``inverse`` and
 ``solver.nullspace``.  ``evaluate`` turns a polynomial int form at a
 numeric point into the int form, for the entries of ``catalog``.
@@ -511,36 +512,75 @@ def _mul_into(acc, p, q, sign, monos):
             acc[m] = acc.get(m, 0) + x * y
 
 
+def _row_into(acc, arow, brows, sign, monos):
+    """acc += sign * arow B for a prow of A and the prows of B; ``acc`` maps
+    each column to [re, im, is_poly], and an entry is a Polynomial when
+    some product of nonzero entries that reached it had a Polynomial
+    factor."""
+    for k, are, aim, apoly in arow:
+        if not (are or aim):
+            continue
+        for j, bre, bim, bpoly in brows[k]:
+            if not (bre or bim):
+                continue
+            e = acc.get(j)
+            if e is None:
+                e = acc[j] = [{}, {}, apoly or bpoly]
+            elif apoly or bpoly:
+                e[2] = True
+            re, im = e[0], e[1]
+            _mul_into(re, are, bre, sign, monos)
+            if aim:
+                _mul_into(im, aim, bre, sign, monos)
+            if bim:
+                _mul_into(im, are, bim, sign, monos)
+                if aim:
+                    _mul_into(re, aim, bim, -sign, monos)
+
+
 def poly_product(x, y):
     """The polynomial int form of the matrix product x y, over the product
-    of the denominators.  An entry is a Polynomial when some product of
-    nonzero entries that reached it had a Polynomial factor."""
+    of the denominators."""
     (da, arows), (db, brows) = x, y
     monos = {}
     out = []
     for arow in arows:
         acc = {}
-        for k, are, aim, apoly in arow:
-            if not (are or aim):
-                continue
-            for j, bre, bim, bpoly in brows[k]:
-                if not (bre or bim):
-                    continue
-                e = acc.get(j)
-                if e is None:
-                    e = acc[j] = [{}, {}, apoly or bpoly]
-                elif apoly or bpoly:
-                    e[2] = True
-                re, im = e[0], e[1]
-                _mul_into(re, are, bre, 1, monos)
-                if aim:
-                    _mul_into(im, aim, bre, 1, monos)
-                if bim:
-                    _mul_into(im, are, bim, 1, monos)
-                    if aim:
-                        _mul_into(re, aim, bim, -1, monos)
+        _row_into(acc, arow, brows, 1, monos)
         out.append(_listed(acc))
     return _least(da * db, out)
+
+
+def poly_commutator(r, s, t):
+    """The polynomial int form of the Yang-Baxter commutator
+    R12 S13 T23 - T23 S13 R12 of the polynomial int forms r, s, t of three
+    N^2 x N^2 matrices, without embedding a factor.
+
+    Each factor's embedded rows are read from ``_legs``.  Row by row,
+    (R12 S13) T23 and (T23 S13) R12 are summed with opposite signs into
+    one accumulator, over the one denominator dr ds dt.  The products
+    associate as the embedded ones do: which intermediate entries cancel
+    decides which residual entries are Polynomials."""
+    (dr, rrows), (ds, srows), (dt, trows) = r, s, t
+    at12, at13, at23 = _legs(isqrt(len(rrows)))
+    r12, s13, t23 = _placed(rrows, at12), _placed(srows, at13), _placed(trows, at23)
+    monos = {}
+    out = []
+    for rrow, trow in zip(r12, t23):
+        acc = {}
+        for first, last, sign in ((rrow, t23, 1), (trow, r12, -1)):
+            left = {}
+            _row_into(left, first, s13, 1, monos)
+            _row_into(acc, _listed(left), last, sign, monos)
+        out.append(_listed(acc))
+    return _least(dr * ds * dt, out)
+
+
+def _placed(prows, at):
+    """The prows of the N^3 x N^3 factor that ``at``, one of ``_legs``,
+    places the prows ``prows`` in; a Polynomial zero is left out, as
+    ``poly_moved`` leaves it out."""
+    return [[(cols[c], re, im, p) for c, re, im, p in prows[f] if re or im] for f, cols in at]
 
 
 def _scaled_terms(t, s):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ybx import cli
-from ybx.tensor import MAX_MINORS, matrix_from_text
+from ybx.tensor import MAX_MINORS, MAX_TERMS, matrix_from_text
 
 
 def run(capsys, *argv):
@@ -388,6 +388,22 @@ def test_orbit_refuses_a_dense_symbolic_inverse_past_the_minor_bound(capsys, tmp
     assert (code, out) == (2, "")
     assert err == ("error: step dsym2: a symbolic det or inverse must expand at most %d "
                    "minors, this one needs more\n" % MAX_MINORS)
+
+
+def test_orbit_refuses_a_symbolic_inverse_past_the_term_bound(capsys, tmp_path):
+    """81 distinct variables need only 2,788 minors, but factorially many
+    terms: the bound on terms stops the inverse."""
+    names = ["x%d_%d" % (i, j) for i in range(9) for j in range(9)]
+    path = tmp_path / "vars81.mat"
+    path.write_text("dim 9\nvars %s\n" % " ".join(names) + "".join(
+        ", ".join(names[9 * i:9 * i + 9]) + "\n" for i in range(9)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "orbit", "--W", "file:%s" % path, "--X", "file:%s" % path,
+                         "--Z", "file:%s" % path, "--word", "dsym2:+-")
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert err == ("error: step dsym2: a symbolic det or inverse may keep at most %d "
+                   "terms in its minors, this one needs more\n" % MAX_TERMS)
 
 
 # ---------------------------------------------------------------------------

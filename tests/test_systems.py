@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ybx import catalog, cli, systems
+from ybx import catalog, cli, systems, tensor
 from ybx.errors import (DimensionMismatch, MissingRole, NotInvertible,
                         RoleKindMismatch, UnknownName, UnsupportedTransform)
 from ybx.exprparse import parse_scalar as ps
@@ -20,6 +20,22 @@ I4 = SquareMatrix.identity(4)
 
 def W23():
     return catalog.instantiate("W", {"q": 2, "s": 3, "t": 2})
+
+
+def test_residual_finds_the_commutators_on_the_tensor_module(monkeypatch):
+    """A wrapper set on ``tensor.ybc_const`` or ``ybc_colour`` sees every
+    commutator of a residual, as the benchmark's tracer needs."""
+    seen = []
+    for name in ("ybc_const", "ybc_colour"):
+        fn = getattr(tensor, name)
+        monkeypatch.setattr(tensor, name,
+                            lambda *args, fn=fn, name=name: seen.append(name) or fn(*args))
+    assert verify("QDOUBLE", {"W": P, "X": random_matrix(4, 7), "Z": P})[0]
+    assert seen == ["ybc_const"] * 4
+    roles = {r: catalog.instantiate(r + "spec") for r in "ABCD"}
+    seen.clear()
+    assert verify("SPECTRAL_REFLECTION", roles)[0]
+    assert seen == ["ybc_colour", "ybc_const"] * 8
 
 
 def test_system_lookup():

@@ -10,6 +10,7 @@ from oracles import embed_oracle, ybc_loops, ybc_tower
 from ybx.catalog import instantiate
 from ybx.errors import (DimensionMismatch, NotInvertible, UnsupportedTransform,
                         ZeroScale)
+from ybx import tensor
 from ybx.exprparse import parse_scalar as ps
 from ybx.scalar import ZERO, GaussianRational, Polynomial, invert, substitute, var_id
 from ybx.tensor import (ColourMatrix, SquareMatrix, _blocks, _minor, _permute_legs, conjugate,
@@ -608,13 +609,21 @@ def _same_entries(got, want):
 
 
 @st.composite
-def _scalar_rows(draw, n, numeric=False):
+def _scalar_rows(draw, n, numeric=False, few=False):
     """n x n scalars from a drawn seed: GaussianRational zeros and values
     over mixed denominators, and, unless ``numeric``, Polynomials with up
     to three terms over Laurent monomials in q and s, constant ones and
-    Polynomial zeros."""
+    Polynomial zeros.  With ``few``, every entry is 0, 1, -1 or q, the
+    nonzero constants as GaussianRationals or constant Polynomials, so
+    that sums of products cancel often."""
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     q, s = var_id("q"), var_id("s")
+    if few:
+        pool = [ZERO] * 5 + [GaussianRational(1), GaussianRational(-1)]
+        if not numeric:
+            pool += [Polynomial({(): GaussianRational(1)}), Polynomial({(): GaussianRational(-1)}),
+                     Polynomial({((q, 1),): GaussianRational(1)})]
+        return [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
 
     def gaussian():
         def part():
@@ -686,6 +695,77 @@ def test_polynomial_int_form_agrees_with_the_tower_loops(operands, perm):
     got, want = ybc_const(A, B, C), ybc_tower(A, B, C, N)
     assert all(x == w for row, want_row in zip(got.rows, want.rows)
                for x, w in zip(row, want_row))
+
+
+# ---------------------------------------------------------------------------
+# the polynomial commutator kernel against the embedded products
+
+@st.composite
+def _polynomial_factors(draw):
+    """Three N^2 x N^2 factors, N in 1..3, that mix GaussianRationals and
+    Polynomials; one of them is sometimes numeric."""
+    n = draw(st.sampled_from([1, 4, 9]))
+    numeric = draw(st.sampled_from([None, 0, 1, 2]))
+    few = draw(st.booleans())
+    return [draw(_scalar_rows(n, numeric=k == numeric, few=few)) for k in range(3)]
+
+
+def _rows(cells):
+    """Rows of 4 from {(row, col): entry}, ZERO elsewhere."""
+    return [[cells.get((i, j), ZERO) for j in range(4)] for i in range(4)]
+
+
+# Factors on which R12 (S13 T23) - T23 (S13 R12) gives a residual entry
+# another type than the embedded products' left association does.
+_ONE = Polynomial({(): GaussianRational(1)})
+_REASSOCIATED = [_rows({(1, 1): GaussianRational(1), (1, 3): GaussianRational(1)}),
+                 _rows({(0, 3): GaussianRational(-1), (2, 3): _ONE}),
+                 _rows({(3, 1): _ONE})]
+
+
+def _embedded_commutator(R, S, T, left=True):
+    R12, S13, T23 = embed(R, (1, 2)), embed(S, (1, 3)), embed(T, (2, 3))
+    if left:
+        return R12 * S13 * T23 - T23 * S13 * R12
+    return R12 * (S13 * T23) - T23 * (S13 * R12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_polynomial_factors())
+@example(_REASSOCIATED)
+def test_polynomial_commutator_agrees_with_the_embedded_products(factors):
+    """``ybc_const`` on polynomial int forms runs ``zform.poly_commutator``;
+    each residual entry has the type, value and text of the explicit
+    embedded products' entry and the value of the tower oracle's."""
+    R, S, T = (SquareMatrix(rows) for rows in factors)
+    got = ybc_const(R, S, T)
+    _same_entries(got, _embedded_commutator(R, S, T).rows)
+    want = ybc_tower(R, S, T, isqrt(R.dim))
+    assert all(x == w for row, want_row in zip(got.rows, want.rows)
+               for x, w in zip(row, want_row))
+
+
+def test_the_other_association_changes_a_type_on_the_example():
+    R, S, T = (SquareMatrix(rows) for rows in _REASSOCIATED)
+    got, other = ybc_const(R, S, T), _embedded_commutator(R, S, T, left=False)
+    assert got == other
+    assert any(type(x) is not type(y) for row, other_row in zip(got.rows, other.rows)
+               for x, y in zip(row, other_row))
+
+
+def test_the_polynomial_commutator_embeds_and_multiplies_nothing(monkeypatch):
+    W = instantiate("W")
+    X = M([["q", 0, 0, 1], [0, "s^-1", "2+i/3", 0], [0, "1/2", "q*s", 0], [1, 0, 0, "-q"]])
+    N = random_matrix(4, 5)
+    cases = [(W, X, W), (X, N, X), (N, W, N)]
+    wants = [_embedded_commutator(*factors).rows for factors in cases]
+
+    def refuse(*args):
+        raise AssertionError("embedded or multiplied")
+    monkeypatch.setattr(tensor, "embed", refuse)
+    monkeypatch.setattr(SquareMatrix, "__mul__", refuse)
+    for factors, want in zip(cases, wants):
+        _same_entries(ybc_const(*factors), want)
 
 
 def test_a_polynomial_zero_entry_is_zero():
