@@ -218,18 +218,20 @@ def cmd_verify(tokens):
         raise UsageError("--samples must be at most %d, got %d" % (MAX_SAMPLES, count))
     symbolic = "symbolic" in values
     roles = {role: _MatrixSpec(text) for role, text in values.items() if role in sysdef.roles}
-    sampled = any(spec.kind == "catalog" and spec.free_params()
-                  for spec in roles.values())
+    sampled = {role for role, spec in roles.items()
+               if spec.kind == "catalog" and spec.free_params()}
     runs = 1 if (symbolic or not sampled) else count
     samples = []
     all_ok = True
+    fixed = {}      # a role that draws no point resolves once, on the first run
     for run in range(runs):
         assignment = {}
         provenance = {}
         for role, spec in roles.items():
-            matrix, desc = _named("--" + role, spec.resolve, rng, symbolic)
-            assignment[role] = matrix
-            provenance[role] = desc
+            resolved = fixed.get(role) or _named("--" + role, spec.resolve, rng, symbolic)
+            if role not in sampled:
+                fixed[role] = resolved
+            assignment[role], provenance[role] = resolved
         ok, rep = systems.verify(sysdef, assignment, provenance=provenance)
         all_ok = all_ok and ok
         samples.append({"index": run + 1, "assignment": provenance,

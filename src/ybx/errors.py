@@ -41,7 +41,9 @@ class NotInvertible(YbxError):
 class TooManyMinors(YbxError):
     """A symbolic det or inverse would expand more minors than
     ``tensor.MAX_MINORS``, or keep more terms in them than
-    ``tensor.MAX_TERMS``."""
+    ``tensor.MAX_TERMS``; or a matrix of rational functions over its
+    shared denominator would keep more numerator int coefficients times
+    denominator terms than ``tensor.MAX_TERMS``."""
 
 
 class UnsupportedTransform(YbxError):

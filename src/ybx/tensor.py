@@ -7,13 +7,14 @@ i1*N^2 + i2*N + i3 with leg 1 most significant; matrices are row-major.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import isqrt
 
 from . import exprparse, zform
 from .errors import (DimensionMismatch, DivisionByZero, ExprSyntaxError, NotInvertible,
                      TooManyMinors, UnsupportedTransform, ZeroScale, prefixed)
-from .scalar import (ZERO, ONE, GaussianRational, Polynomial, as_scalar, invert,
-                     is_zero, scalar_str, var_id, var_name)
+from .scalar import (ZERO, ONE, GaussianRational, Polynomial, RationalFunction, as_scalar,
+                     invert, is_zero, scalar_str, var_id, var_name)
 
 # The most minors one symbolic det or inverse may expand.  A dense
 # symbolic inverse needs 2,788 at dim 9 and 13,278 at dim 11 (0.8 s), about
@@ -37,22 +38,25 @@ class SquareMatrix:
 
     A matrix holds its entries in one or more of three forms, each filled
     from another the first time it is read: ``rows``, n lists of n
-    scalars, ``_zi`` and ``_zp``.  ``_zi`` is None when an entry is not a
+    scalars, ``_zi`` and ``_zq``.  ``_zi`` is None when an entry is not a
     GaussianRational, and otherwise the int form of ``zform``: Gaussian
-    integers over one least denominator.  ``_zp`` is None when an entry
-    is a RationalFunction, and otherwise the polynomial int form of
-    ``zform``: Gaussian-integer coefficients over one least denominator.
-    Arithmetic runs on ``_zi`` when every operand has it, and so does
-    ``ybc_const``, through ``zform.commutator``; products, sums,
-    differences, negation, leg moves, the zero test and ``ybc_const``,
-    through ``zform.poly_commutator``, run on ``_zp`` when every operand
-    has that instead.  Either returns a matrix that holds only its int
-    form; ``rows`` reduces each coefficient, so entries have the type,
-    value and text the scalar loop gives them.  The scalar loop, and the
-    leg embeddings of a commutator, are left for RationalFunction
-    entries."""
+    integers over one least denominator.  ``_zq`` is (zp, den): ``zp`` a
+    polynomial int form of ``zform`` and ``den`` a Polynomial, or None
+    for 1.  A matrix of GaussianRationals and Polynomials has den None.
+    One with a RationalFunction entry has as den the product of the
+    distinct denominators of its nonzero RationalFunction entries, and
+    each entry multiplied up to sit over it as a Polynomial; ``_shared``
+    fills it, within MAX_TERMS.  Every operation has two paths: on
+    ``_zi`` when every operand has it, with ``zform.commutator`` for
+    ``ybc_const``, and otherwise the ``zform`` polynomial kernel on the
+    numerators, over the product of the denominators; a sum over two
+    unequal denominators cross-multiplies once.  Either returns a matrix
+    that holds only that form; ``rows`` reduces each coefficient, so a
+    polynomial entry has the type, value and text the scalar tower gives
+    it, and a nonzero entry over den reads back as
+    ``RationalFunction(entry, den)``."""
 
-    __slots__ = ("dim", "rows", "_zi", "_zp")
+    __slots__ = ("dim", "rows", "_zi", "_zq")
 
     def __init__(self, rows):
         n = len(rows)
@@ -66,19 +70,31 @@ class SquareMatrix:
 
     def __getattr__(self, name):
         # called only for a slot never set: fill it from another form.  A
-        # matrix without rows has _zi, and one whose _zi is None has _zp.
+        # matrix without rows has _zi, and one whose _zi is None has _zq.
         if name == "rows":
             zi = self._zi
-            self.rows = rows = (zform.to_rows(zi, self.dim) if zi is not None
-                                else zform.poly_to_rows(self._zp, self.dim))
+            if zi is not None:
+                self.rows = rows = zform.to_rows(zi, self.dim)
+                return rows
+            zp, den = self._zq
+            rows = zform.poly_to_rows(zp, self.dim)
+            if den is not None:
+                rows = [[RationalFunction(x, den) if not x.is_zero() else x for x in row]
+                        for row in rows]
+            self.rows = rows
             return rows
         if name == "_zi":
             self._zi = zi = zform.of_rows(self.rows)
             return zi
-        if name == "_zp":
+        if name == "_zq":
             zi = self._zi
-            self._zp = zp = zform.poly_of(zi) if zi is not None else zform.poly_of_rows(self.rows)
-            return zp
+            if zi is not None:
+                zq = zform.poly_of(zi), None
+            else:
+                zp = zform.poly_of_rows(self.rows)
+                zq = (zp, None) if zp is not None else _shared(self.rows)
+            self._zq = zq
+            return zq
         raise AttributeError(name)
 
     @staticmethod
@@ -96,71 +112,40 @@ class SquareMatrix:
         return _matrix(rows)
 
     def __add__(self, other):
-        self._same_dim(other)
-        x, y = self._zi, other._zi
-        if x is not None and y is not None:
-            return _zmatrix(zform.combined(x, y, 1))
-        m = _on_poly(self, other, zform.poly_combined, 1)
-        if m is not None:
-            return m
-        return _matrix([[a + b for a, b in zip(ra, rb)]
-                        for ra, rb in zip(self.rows, other.rows)], True)
+        return _combined(self, other, 1)
 
     def __sub__(self, other):
-        self._same_dim(other)
-        x, y = self._zi, other._zi
-        if x is not None and y is not None:
-            return _zmatrix(zform.combined(x, y, -1))
-        m = _on_poly(self, other, zform.poly_combined, -1)
-        if m is not None:
-            return m
-        return _matrix([[a - b for a, b in zip(ra, rb)]
-                        for ra, rb in zip(self.rows, other.rows)], True)
+        return _combined(self, other, -1)
 
     def __neg__(self):
         zi = self._zi
         if zi is not None:
             return _zmatrix(zform.negated(zi))
-        zp = self._zp
-        if zp is not None:
-            return _pmatrix(zform.poly_negated(zp))
-        return _matrix([[-a for a in row] for row in self.rows], True)
+        zp, den = self._zq
+        return _qmatrix(zform.poly_negated(zp), den)
 
     def __mul__(self, other):
-        """Matrix product: ``zform.product`` or ``zform.poly_product`` when
-        both factors have that int form, else the scalar loop."""
+        """Matrix product: ``zform.product`` when both factors have the int
+        form, else ``zform.poly_product`` over the product of the
+        denominators."""
         if not isinstance(other, SquareMatrix):
             return NotImplemented
         self._same_dim(other)
         x, y = self._zi, other._zi
         if x is not None and y is not None:
             return _zmatrix(zform.product(x, y))
-        m = _on_poly(self, other, zform.poly_product)
-        if m is not None:
-            return m
-        n = self.dim
-        out = [[ZERO] * n for _ in range(n)]
-        brows = other.rows
-        for i in range(n):
-            arow = self.rows[i]
-            orow = out[i]
-            for k in range(n):
-                a = arow[k]
-                if a.is_zero():
-                    continue
-                brow = brows[k]
-                for j in range(n):
-                    b = brow[j]
-                    if not b.is_zero():
-                        orow[j] = orow[j] + a * b
-        return _matrix(out, True)
+        (a, da), (b, db) = self._zq, other._zq
+        return _qmatrix(zform.poly_product(a, b), _den_product(da, db))
 
     def scale(self, s):
+        """s times the matrix: ``zform.scaled`` on the int form by a
+        GaussianRational, else the product with s times the identity."""
         s = as_scalar(s)
         zi = self._zi
         if zi is not None and type(s) is GaussianRational:
             return _zmatrix(zform.scaled(zi, s))
-        return _matrix([[s * a for a in row] for row in self.rows], True)
+        n = self.dim
+        return self * _matrix([[s if i == j else ZERO for j in range(n)] for i in range(n)])
 
     def transpose(self):
         return _moved(self, self.dim, lambda r, c: ((c, r),))
@@ -169,10 +154,7 @@ class SquareMatrix:
         zi = self._zi
         if zi is not None:
             return not any(zi[1])
-        zp = self._zp
-        if zp is not None:
-            return zform.poly_is_zero(zp)
-        return all(a.is_zero() for row in self.rows for a in row)
+        return zform.poly_is_zero(self._zq[0])
 
     def __eq__(self, other):
         if not isinstance(other, SquareMatrix) or self.dim != other.dim:
@@ -234,7 +216,7 @@ class SquareMatrix:
                 for j, c in enumerate(cs):
                     m = _minor(rows, rs[:i] + rs[i + 1:], cs[:j] + cs[j + 1:], memo)
                     out[c][r] = (m if (i + j) % 2 == 0 else -m) * dinv
-        return _matrix(out, True)
+        return _matrix(out)
 
     def __str__(self):
         return matrix_to_text(self)
@@ -243,16 +225,11 @@ class SquareMatrix:
         return "SquareMatrix(dim=%d)" % self.dim
 
 
-def _matrix(rows, scalar=False):
-    """The SquareMatrix of ``rows``: square lists that already hold scalars.
-    ``scalar`` marks rows that scalar arithmetic made from a matrix with an
-    entry that is not a GaussianRational; their ``_zi`` is None without a
-    scan."""
+def _matrix(rows):
+    """The SquareMatrix of ``rows``: square lists that already hold scalars."""
     m = SquareMatrix.__new__(SquareMatrix)
     m.dim = len(rows)
     m.rows = rows
-    if scalar:
-        m._zi = None
     return m
 
 
@@ -264,45 +241,84 @@ def _zmatrix(zi):
     return m
 
 
-def _pmatrix(zp):
-    """The SquareMatrix whose polynomial int form is ``zp``; it holds the
-    int form instead when no entry is a Polynomial."""
-    zi = zform.poly_numeric(zp)
-    if zi is not None:
-        return _zmatrix(zi)
+def _qmatrix(zp, den):
+    """The SquareMatrix whose ``_zq`` is (zp, den); it holds the int form
+    instead when den is None and no entry is a Polynomial."""
+    if den is None:
+        zi = zform.poly_numeric(zp)
+        if zi is not None:
+            return _zmatrix(zi)
     m = SquareMatrix.__new__(SquareMatrix)
     m.dim = len(zp[1])
     m._zi = None
-    m._zp = zp
+    m._zq = zp, den
     return m
 
 
-def _on_poly(x, y, op, *args):
-    """The matrix ``op`` makes of the polynomial int forms of x and y;
-    None when either has none."""
-    a, b = x._zp, y._zp
-    if a is None or b is None:
-        return None
-    return _pmatrix(op(a, b, *args))
+def _shared(rows):
+    """``_zq`` of ``rows`` that hold a RationalFunction: the sum of the
+    matrix of their other entries and, for each distinct denominator of a
+    nonzero RationalFunction entry, the matrix of the numerators over it.
+    Raises TooManyMinors once the numerator's int coefficients times the
+    denominator's terms pass MAX_TERMS."""
+    parts = {}
+    for r, row in enumerate(rows):
+        for c, x in enumerate(row):
+            if type(x) is RationalFunction and x.num.terms:
+                parts.setdefault(frozenset(x.den.terms.items()),
+                                 (x.den, [[ZERO] * len(rows) for _ in rows]))[1][r][c] = x.num
+    m = _matrix([[ZERO if type(x) is RationalFunction else x for x in row] for row in rows])
+    for den, part in parts.values():
+        m = m + _qmatrix(zform.poly_of_rows(part), den)
+        zp, den = m._zq
+        if sum(len(re) + len(im) for _, re, im, _ in chain(*zp[1])) * len(den.terms) > MAX_TERMS:
+            raise TooManyMinors("a matrix of rational functions may keep at most %d int "
+                                "coefficients times denominator terms over one shared "
+                                "denominator, this one needs more" % MAX_TERMS)
+    return m._zq
+
+
+def _den_product(*dens):
+    """The product of the denominators that are not None; None if none is."""
+    out = None
+    for d in dens:
+        if d is not None:
+            out = d if out is None else out * d
+    return out
+
+
+def _times(zp, den):
+    """The polynomial int form zp times the Polynomial ``den``, or zp when
+    den is None: the product with den times the identity."""
+    if den is None:
+        return zp
+    d, ((entry,),) = zform.poly_of_rows([[den]])
+    return zform.poly_product(zp, (d, [[(i,) + entry[1:]] for i in range(len(zp[1]))]))
+
+
+def _combined(x, y, sign):
+    """x + sign * y: ``zform.combined`` on the int forms, else
+    ``zform.poly_combined`` on the numerators, each first multiplied by
+    the other's denominator when the two differ."""
+    x._same_dim(y)
+    a, b = x._zi, y._zi
+    if a is not None and b is not None:
+        return _zmatrix(zform.combined(a, b, sign))
+    (a, da), (b, db) = x._zq, y._zq
+    if da != db:
+        a, b, da = _times(a, db), _times(b, da), _den_product(da, db)
+    return _qmatrix(zform.poly_combined(a, b, sign), da)
 
 
 def _moved(M, size, places):
     """The matrix of dim ``size`` that holds each nonzero entry (r, c) of
     M at every position of ``places(r, c)``, which never share one.  No
-    arithmetic: the result keeps M's form, and each entry its value."""
+    arithmetic: the result keeps M's form and denominator."""
     zi = M._zi
     if zi is not None:
         return _zmatrix(zform.moved(zi, size, places))
-    zp = M._zp
-    if zp is not None:
-        return _pmatrix(zform.poly_moved(zp, size, places))
-    rows = [[ZERO] * size for _ in range(size)]
-    for r, row in enumerate(M.rows):
-        for c, x in enumerate(row):
-            if not x.is_zero():
-                for i, j in places(r, c):
-                    rows[i][j] = x
-    return _matrix(rows, True)
+    zp, den = M._zq
+    return _qmatrix(zform.poly_moved(zp, size, places), den)
 
 
 def _blocks(rows):
@@ -410,21 +426,11 @@ def rref(rows, ncols):
 # tensor structure
 
 def kron(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
-    """Kronecker product, row index i1*dim(b) + i2."""
+    """Kronecker product, row index i1*dim(b) + i2: (a (x) I)(I (x) b)."""
     na, nb = a.dim, b.dim
-    n = na * nb
-    out = [[ZERO] * n for _ in range(n)]
-    for i1 in range(na):
-        for j1 in range(na):
-            x = a.rows[i1][j1]
-            if x.is_zero():
-                continue
-            for i2 in range(nb):
-                for j2 in range(nb):
-                    y = b.rows[i2][j2]
-                    if not y.is_zero():
-                        out[i1 * nb + i2][j1 * nb + j2] = x * y
-    return _matrix(out)
+    left = _moved(a, na * nb, lambda r, c: [(r * nb + t, c * nb + t) for t in range(nb)])
+    right = _moved(b, na * nb, lambda r, c: [(t * nb + r, t * nb + c) for t in range(na)])
+    return left * right
 
 
 # The leg permutation of the flip conjugation P M P, for ``_permute_legs``.
@@ -476,27 +482,16 @@ def _local_dim(mat: SquareMatrix, role=None) -> int:
 def ybc_const(R: SquareMatrix, S: SquareMatrix, T: SquareMatrix) -> SquareMatrix:
     """Constant Yang-Baxter commutator R12 S13 T23 - T23 S13 R12:
     ``zform.commutator`` when all three factors have the int form, else
-    ``zform.poly_commutator`` when all three have the polynomial int
-    form.  Only a factor with a RationalFunction entry leaves the leg
-    embeddings to ``__mul__`` and ``-``.  The choice is made on entry
-    kind, as ``__mul__`` makes it."""
+    ``zform.poly_commutator`` on the numerators of their ``_zq``, over
+    dr ds dt.  Neither embeds a factor; the choice is made on entry kind,
+    as ``__mul__`` makes it."""
     if not (R.dim == S.dim == T.dim):
         raise DimensionMismatch("commutator needs equal dims")
     _local_dim(R)       # a dim that is not a square fails on every path
-    r = R._zi
-    if r is not None:
-        s, t = S._zi, T._zi
-        if s is not None and t is not None:
-            return _zmatrix(zform.commutator(r, s, t))
-    r = R._zp
-    if r is not None:
-        s, t = S._zp, T._zp
-        if s is not None and t is not None:
-            return _pmatrix(zform.poly_commutator(r, s, t))
-    R12 = embed(R, (1, 2))
-    S13 = embed(S, (1, 3))
-    T23 = embed(T, (2, 3))
-    return R12 * S13 * T23 - T23 * S13 * R12
+    if R._zi is not None and S._zi is not None and T._zi is not None:
+        return _zmatrix(zform.commutator(R._zi, S._zi, T._zi))
+    (r, dr), (s, ds), (t, dt) = R._zq, S._zq, T._zq
+    return _qmatrix(zform.poly_commutator(r, s, t), _den_product(dr, ds, dt))
 
 
 # ---------------------------------------------------------------------------

@@ -14,15 +14,16 @@ Polynomial: it does exactly when the scalar tower, on the same operands,
 would have made one.  A GaussianRational zero is not listed; a
 Polynomial zero is, with no terms.
 
-``tensor.SquareMatrix`` keeps the int form in its ``_zi`` slot, the
-polynomial one in its ``_zp`` slot, and chooses when these functions run;
+``tensor.SquareMatrix`` keeps the int form in its ``_zi`` slot and the
+polynomial one in its ``_zq`` slot, over a polynomial denominator that
+RationalFunction entries share, and chooses when these functions run;
 the arithmetic returns an int form again.  No function changes the term
 dicts of its operands, so results may share them.  ``commutator`` and
 ``poly_commutator`` are the numeric and the polynomial Yang-Baxter
-commutator, for ``tensor.ybc_const``.  ``bareiss`` is
-the one exact elimination over Z[i], for ``det``, ``inverse`` and
-``solver.nullspace``.  ``evaluate`` turns a polynomial int form at a
-numeric point into the int form, for the entries of ``catalog``.
+commutator, for ``tensor.ybc_const``.  ``bareiss`` is the one exact
+elimination over Z[i], for ``det``, ``inverse`` and ``solver.nullspace``.
+``evaluate`` turns a polynomial int form at a numeric point into the int
+form, for the entries of ``catalog``.
 """
 
 from __future__ import annotations
@@ -613,7 +614,7 @@ def poly_combined(x, y, sign):
 
 def poly_moved(x, size, places):
     """``moved`` for the polynomial int form, sharing the term dicts; a
-    Polynomial zero is dropped, as the scalar loop drops it."""
+    Polynomial zero is dropped, as ``moved`` drops a zero."""
     d, prows = x
     out = [[] for _ in range(size)]
     for r, prow in enumerate(prows):

@@ -8,7 +8,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ybx import cli
 from ybx.tensor import MAX_MINORS, MAX_TERMS, matrix_from_text
@@ -53,6 +53,25 @@ def test_verify_sampling_is_seeded(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert out1.count("sample") == 3 + 1   # 3 samples + overall line
+
+
+def test_verify_resolves_each_fixed_role_once(capsys, monkeypatch):
+    """W and Z20 are fully pinned, so only X2 is drawn again for each of
+    the ten samples; the bytes are those the CI step pins."""
+    calls = []
+    instantiate = cli.catalog.instantiate
+
+    def counted(name, *args):
+        calls.append(name)
+        return instantiate(name, *args)
+    monkeypatch.setattr(cli.catalog, "instantiate", counted)
+    code, out, _ = run(capsys, "verify", "qdouble", "--W", "catalog:W[q=2/3,s=3,t=-q^-1]",
+                       "--X", "catalog:X2[q=2/3,s=3,t=-q^-1,b=-5/2]",
+                       "--Z", "catalog:Z20[q=2/3,b=-5/2,t=-q^-1]",
+                       "--samples", "10", "--seed", "5", "--json")
+    assert calls == ["W", "Z20"]
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
+        0, "032d77567b45c687f553b524a67d5f49c3b42d7975d0b80f1e4bce7eb082fdc6")
 
 
 def test_verify_symbolic(capsys):
@@ -406,6 +425,21 @@ def test_orbit_refuses_a_symbolic_inverse_past_the_term_bound(capsys, tmp_path):
                    "terms in its minors, this one needs more\n" % MAX_TERMS)
 
 
+def test_verify_refuses_a_shared_denominator_past_the_term_bound(capsys, tmp_path):
+    """Entries 1/(q+1), ..., 1/(q+81) over their product: 6,561 numerator
+    coefficients times 82 denominator terms."""
+    path = tmp_path / "den81.mat"
+    path.write_text("dim 9\nvars q\n" + "".join(
+        ", ".join("1/(q+%d)" % (9 * i + j + 1) for j in range(9)) + "\n" for i in range(9)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "ybe", "--R", "file:%s" % path, "--symbolic")
+    assert time.perf_counter() - start < 10
+    assert (code, out) == (2, "")
+    assert err == ("error: a matrix of rational functions may keep at most %d int coefficients "
+                   "times denominator terms over one shared denominator, this one needs more\n"
+                   % MAX_TERMS)
+
+
 # ---------------------------------------------------------------------------
 # catalog
 
@@ -474,18 +508,21 @@ _ROLES = {"ybe": "R", "qbg": "QR", "qdouble": "WXZ", "reflection": "ABCD",
 _GOOD_SPECS = ["catalog:P", "catalog:I", "catalog:W", "catalog:W[t=q]",
                "catalog:W[q=2,s=3,t=q]", "catalog:X1", "catalog:Z10", "catalog:Rex2",
                "catalog:Aspec", "catalog:Cspec", "random[dim=4,seed=7]",
-               "random[dim=4,seed=3]", "file:@DIR/good.mat"]
+               "random[dim=4,seed=3]", "file:@DIR/good.mat", "file:@DIR/vars.mat",
+               "file:@DIR/quotient.mat"]
 _BAD_SPECS = ["catalog:W[q=1]", "catalog:W[qq=2]", "catalog:Nope", "catalog:W[q",
               "catalog:W[q]", "random[dim=4]", "random[seed=1]", "random[dim=x,seed=1]",
               "random[dim=2,seed=1,k=3]", "random[dim=-1,seed=1]", "random[dim=0,seed=2]",
               "random[dim=1,seed=3]", "random[dim=3,seed=4]", "file:@DIR/bad.mat",
-              "file:@DIR/missing.mat", "nonsense"]
+              "file:@DIR/missing.mat", "nonsense", "catalog:W[q=1/0,t=q]", "catalog:W[q=0^-1]",
+              "catalog:W[t=q^(1/2)]", "catalog:W[s=0/(q+1)]"]
 # specs that repeat a catalog pin or a random key, with the repeated name
 _REPEATED_SPECS = [("catalog:W[q=2,q=3,t=q]", "q"), ("catalog:X1[a=1,b=2,a=1]", "a"),
                    ("random[dim=4,seed=7,seed=1]", "seed"), ("random[dim=4,dim=4,seed=1]", "dim")]
 # three well-formed specs to every malformed one
 _SPECS = st.sampled_from(_GOOD_SPECS * 3 + _BAD_SPECS)
-_SCALES = st.sampled_from(["2", "-1/3", "i", "q", "0", "1/0", "(", ""])
+_SCALES = st.sampled_from(["2", "-1/3", "i", "q", "0", "1/0", "0^-1", "q^(1/2)", "0/(q+1)",
+                           "(", ""])
 _WORDS = st.sampled_from(["", "t", "dsym1:i#", "dsym2:+-", "dsym3:++", "t,dsym1:#i",
                           "dsym1:zz", "bogus"])
 
@@ -538,11 +575,17 @@ def _argv(draw):
         argv = ["orbit"]
         names = ("W", "X", "Z", "omega", "xi", "zeta", "word", "check")
         required = ("W", "X", "Z")
-        opts = [("W", first_spec)] + [(role, draw(_SPECS)) for role in "XZ"]
-        # two scales drawn independently may repeat a name
-        for name in draw(st.lists(st.sampled_from(["omega", "xi", "zeta"]), max_size=2)):
-            opts.append((name, draw(_SCALES)))
-        opts += [("word", draw(_WORDS))] + flags("check")
+        if repeat != "spec" and draw(st.integers(0, 3)) == 0:
+            # the symbolic dim-9 triple, whose inverses have quotient entries
+            first_spec = "file:@DIR/sym9.mat"
+            opts = [(role, first_spec) for role in "WXZ"] + [("word", "dsym2:+-"),
+                                                             ("check", None)]
+        else:
+            opts = [("W", first_spec)] + [(role, draw(_SPECS)) for role in "XZ"]
+            # two scales drawn independently may repeat a name
+            for name in draw(st.lists(st.sampled_from(["omega", "xi", "zeta"]), max_size=2)):
+                opts.append((name, draw(_SCALES)))
+            opts += [("word", draw(_WORDS))] + flags("check")
         again = [("W", "catalog:P"), ("xi", "2"), ("word", "t"), ("check", None)]
     else:
         system = draw(st.sampled_from(sorted(_ROLES)))
@@ -578,11 +621,27 @@ def matrix_dir(tmp_path_factory):
     (path / "good.mat").write_text("dim 4\n" + "\n".join(
         ", ".join("1" if i == j else "0" for j in range(4)) for i in range(4)) + "\n")
     (path / "bad.mat").write_text("dim 4\n1, 2\n")
+    (path / "vars.mat").write_text("dim 4\nvars q s\nq, 0, 0, 1\n0, s^-1, 2, 0\n"
+                                   "0, 1/2, q*s, 0\n1, 0, 0, -q\n")
+    (path / "quotient.mat").write_text("dim 4\nvars q\n1/(q+1), 0, 0, 1\n0, q, (q-1)/(q+2), 0\n"
+                                       "0, 0/(q+1), 1/(q+1), 0\n1, 0, 0, 2\n")
+    # q on the diagonal and 1 on the cyclic superdiagonal: its inverse is
+    # over q^9 + 1
+    (path / "sym9.mat").write_text("dim 9\nvars q\n" + "".join(", ".join(
+        "q" if j == i else "1" if j == (i + 1) % 9 else "0" for j in range(9)) + "\n"
+        for i in range(9)))
     return str(path)
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
 @given(case=_argv())
+@example(case=(["orbit", "--W", "file:@DIR/sym9.mat", "--X", "file:@DIR/sym9.mat",
+                "--Z", "file:@DIR/sym9.mat", "--word", "dsym2:+-", "--check"], None))
+@example(case=(["orbit", "--W", "file:@DIR/quotient.mat", "--X", "file:@DIR/vars.mat",
+                "--Z", "file:@DIR/quotient.mat", "--word", "dsym2:+-,t", "--xi", "q",
+                "--check"], None))
+@example(case=(["verify", "qdouble", "--W", "file:@DIR/quotient.mat", "--X",
+                "file:@DIR/vars.mat", "--Z", "file:@DIR/quotient.mat", "--json"], None))
 def test_generated_argv_keep_the_exit_contract(matrix_dir, case):
     argv, fragment = case
     argv = [a.replace("@DIR", matrix_dir) for a in argv]

@@ -12,7 +12,8 @@ from ybx.errors import (DimensionMismatch, NotInvertible, UnsupportedTransform,
                         ZeroScale)
 from ybx import tensor
 from ybx.exprparse import parse_scalar as ps
-from ybx.scalar import ZERO, GaussianRational, Polynomial, invert, substitute, var_id
+from ybx.scalar import (ZERO, GaussianRational, Polynomial, RationalFunction, invert,
+                        substitute, var_id)
 from ybx.tensor import (ColourMatrix, SquareMatrix, _blocks, _minor, _permute_legs, conjugate,
                         embed, flip_matrix, kron, matrix_from_text,
                         matrix_to_text, partial_transpose, random_matrix,
@@ -600,12 +601,32 @@ def _tower_moved(a, at):
     return out
 
 
+def _tower_kron(a, b):
+    """The Kronecker product of two lists of scalar rows by the scalar
+    loop: each nonzero pair's product, ZERO elsewhere."""
+    na, nb = len(a), len(b)
+    out = [[ZERO] * (na * nb) for _ in range(na * nb)]
+    for (i1, j1), (i2, j2) in itertools.product(itertools.product(range(na), repeat=2),
+                                                itertools.product(range(nb), repeat=2)):
+        if not (a[i1][j1].is_zero() or b[i2][j2].is_zero()):
+            out[i1 * nb + i2][j1 * nb + j2] = a[i1][j1] * b[i2][j2]
+    return out
+
+
 def _same_entries(got, want):
     """Entry by entry: the same type, value and text."""
     assert len(got.rows) == len(want)
     for row, want_row in zip(got.rows, want):
         for x, w in zip(row, want_row):
             assert type(x) is type(w) and x == w and str(x) == str(w), (x, w)
+
+
+def _equal_entries(got, want):
+    """Entry by entry: the same value."""
+    assert len(got.rows) == len(want)
+    for row, want_row in zip(got.rows, want):
+        for x, w in zip(row, want_row):
+            assert x == w, (x, w)
 
 
 @st.composite
@@ -649,52 +670,86 @@ def _scalar_rows(draw, n, numeric=False, few=False):
     return [[entry() for _ in range(n)] for _ in range(n)]
 
 
+# Denominators of quotient operands, pairwise without a common factor;
+# the last is a Laurent polynomial.
+_DENS = [ps("q+1"), ps("q-s"), ps("2*q+i"), ps("s^2+1/3"), ps("q^-1+s")]
+
+
+@st.composite
+def _quotient_rows(draw, n, dens):
+    """``_scalar_rows`` with about half of the entries, zeros among them,
+    divided by a denominator from ``dens``: RationalFunctions, some zero."""
+    rows = draw(_scalar_rows(n, few=draw(st.booleans())))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return [[x / rng.choice(dens) if rng.random() < 0.5 else x for x in row] for row in rows]
+
+
 @st.composite
 def _mixed_operands(draw):
     """Three N^2 x N^2 operands, N in 1..2, that mix GaussianRationals
-    and Polynomials; the third is sometimes numeric."""
+    and Polynomials; the third is sometimes numeric.  Two times in three
+    the first two also hold quotients: over one denominator they share,
+    or over several, three of them only in the first."""
     n = draw(st.sampled_from([1, 4]))
-    a, b = draw(_scalar_rows(n)), draw(_scalar_rows(n))
+    dens = draw(st.sampled_from([None, _DENS[:1], _DENS]))
+    if dens is None:
+        a, b = draw(_scalar_rows(n)), draw(_scalar_rows(n))
+    else:
+        a, b = draw(_quotient_rows(n, dens)), draw(_quotient_rows(n, dens[-2:]))
     c = draw(_scalar_rows(n, numeric=draw(st.booleans())))
     return a, b, c
 
 
 @settings(max_examples=60, deadline=None)
-@given(_mixed_operands(), st.sampled_from(_PERMS))
-def test_polynomial_int_form_agrees_with_the_tower_loops(operands, perm):
-    """Products, sums, differences, negation, leg moves and the zero test
-    on matrices of GaussianRationals and Polynomials, including chains
-    whose operands hold only the int form: every entry has the type,
-    value and text of the scalar loops' entry."""
+@given(_mixed_operands(), st.sampled_from(_PERMS),
+       st.sampled_from([GaussianRational(Fraction(-2, 3), 1), ps("q-1"), ps("s/(q+1)")]))
+def test_polynomial_int_form_agrees_with_the_tower_loops(operands, perm, scalar):
+    """Products, sums, differences, negation, scaling, leg moves, Kronecker
+    products, the zero test and the commutator on matrices of
+    GaussianRationals and Polynomials, including chains whose operands
+    hold only the int form: every entry has the type, value and text of
+    the scalar loops' entry.  With quotient operands, whose form holds a
+    shared denominator, every entry has its value."""
     a, b, c = operands
     n = len(a)
     N = isqrt(n)
+    same = (_equal_entries if any(type(x) is RationalFunction for row in a + b for x in row)
+            else _same_entries)
     A, B, C = SquareMatrix(a), SquareMatrix(b), SquareMatrix(c)
     ab = _tower_product(a, b)
-    _same_entries(A * B, ab)
-    _same_entries(A * B * C, _tower_product(ab, c))
-    _same_entries(C * (A * B), _tower_product(c, ab))
-    _same_entries(A + B, [[x + y for x, y in zip(u, v)] for u, v in zip(a, b)])
-    _same_entries(A - C, [[x - y for x, y in zip(u, v)] for u, v in zip(a, c)])
-    _same_entries(A * B - C, [[x - y for x, y in zip(u, v)] for u, v in zip(ab, c)])
-    _same_entries(-(A * B), [[-x for x in row] for row in ab])
-    _same_entries(A.transpose(), _tower_moved(a, lambda i, j: (j, i)))
-    _same_entries((A * B).transpose(), _tower_moved(ab, lambda i, j: (j, i)))
+    same(A * B, ab)
+    same(A * B * C, _tower_product(ab, c))
+    same(C * (A * B), _tower_product(c, ab))
+    same(A + B, [[x + y for x, y in zip(u, v)] for u, v in zip(a, b)])
+    same(A - C, [[x - y for x, y in zip(u, v)] for u, v in zip(a, c)])
+    same(A * B - C, [[x - y for x, y in zip(u, v)] for u, v in zip(ab, c)])
+    same(-(A * B), [[-x for x in row] for row in ab])
+    same(A.transpose(), _tower_moved(a, lambda i, j: (j, i)))
+    same((A * B).transpose(), _tower_moved(ab, lambda i, j: (j, i)))
+    same(kron(A, C), _tower_kron(a, c))
+    _equal_entries(A.scale(scalar), [[scalar * x for x in row] for row in a])
+    _equal_entries((A * B).scale(scalar) + C, [[scalar * x + y for x, y in zip(u, v)]
+                                               for u, v in zip(ab, c)])
 
     def permuted(i, j):
         legs = [0] * 4
         for k, leg in zip(perm, divmod(i, N) + divmod(j, N)):
             legs[k] = leg
         return legs[0] * N + legs[1], legs[2] * N + legs[3]
-    _same_entries(_permute_legs(A * B, perm), _tower_moved(ab, permuted))
+    same(_permute_legs(A * B, perm), _tower_moved(ab, permuted))
     for legs in _LEGS:
-        _same_entries(embed(A, legs), embed_oracle(A, legs, N).rows)
-        _same_entries(embed(A * B, legs), embed_oracle(SquareMatrix(ab), legs, N).rows)
+        same(embed(A, legs), embed_oracle(A, legs, N).rows)
+        same(embed(A * B, legs), embed_oracle(SquareMatrix(ab), legs, N).rows)
     assert (A * B - A * B).is_zero() and (A - A).is_zero()
     assert (A * B - C).is_zero() == all(x == y for u, v in zip(ab, c) for x, y in zip(u, v))
-    got, want = ybc_const(A, B, C), ybc_tower(A, B, C, N)
-    assert all(x == w for row, want_row in zip(got.rows, want.rows)
-               for x, w in zip(row, want_row))
+    # A again, each entry over one more factor: sums over unequal
+    # denominators that cancel
+    over = _DENS[2] / _DENS[2]
+    A2 = SquareMatrix([[x * over for x in row] for row in a])
+    assert (A - A2).is_zero() and (A2 - A).is_zero()
+    assert (A2 + A2).is_zero() == A.is_zero()
+    _equal_entries(A2, a)
+    _equal_entries(ybc_const(A, B, C), ybc_tower(A, B, C, N).rows)
 
 
 # ---------------------------------------------------------------------------
@@ -757,8 +812,11 @@ def test_the_polynomial_commutator_embeds_and_multiplies_nothing(monkeypatch):
     W = instantiate("W")
     X = M([["q", 0, 0, 1], [0, "s^-1", "2+i/3", 0], [0, "1/2", "q*s", 0], [1, 0, 0, "-q"]])
     N = random_matrix(4, 5)
+    Q = M([["1/(q+1)", 0, 0, "s"], [0, "q", "1/(q-s)", 0], [0, "i/(q+1)", 0, 0], [1, 0, 0, 2]])
     cases = [(W, X, W), (X, N, X), (N, W, N)]
     wants = [_embedded_commutator(*factors).rows for factors in cases]
+    quotients = [(Q, W, X), (N, Q, Q), (X.inverse(), Q, N), (Q, X.inverse(), Q)]
+    values = [ybc_tower(*factors, 2).rows for factors in quotients]
 
     def refuse(*args):
         raise AssertionError("embedded or multiplied")
@@ -766,6 +824,8 @@ def test_the_polynomial_commutator_embeds_and_multiplies_nothing(monkeypatch):
     monkeypatch.setattr(SquareMatrix, "__mul__", refuse)
     for factors, want in zip(cases, wants):
         _same_entries(ybc_const(*factors), want)
+    for factors, want in zip(quotients, values):
+        _equal_entries(ybc_const(*factors), want)
 
 
 def test_a_polynomial_zero_entry_is_zero():
